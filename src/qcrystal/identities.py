@@ -159,7 +159,8 @@ _MOD15_EXCLUSIONS = {
 }
 
 
-@functools.lru_cache(maxsize=None)
+# Four tags per order; eight entries hold the current and previous order.
+@functools.lru_cache(maxsize=8)
 def _mod15_series(tag: str, order: int) -> QSeries:
     return qs.restricted_partition_gf(_MOD15_EXCLUSIONS[tag], 15, order)
 

@@ -12,7 +12,6 @@ or twice an odd prime.  For other moduli the same formulas are applied
 only in conjecture mode, and results are reported rather than asserted.
 """
 
-import functools
 from dataclasses import dataclass
 
 from . import qseries as qs
@@ -88,80 +87,96 @@ def multiplicity_table(n: int, max_k: int, witness_cap: int | None = None) -> Mu
     return MultiplicityTable(n, max_k, entries)
 
 
-class _ChainCounter:
-    """Counts chain shapes by component index without materializing them.
+def _partition_number(m: int) -> int:
+    """Exact p(m) from Euler's pentagonal-number recurrence."""
+    p = [1] + [0] * m
+    for k in range(1, m + 1):
+        total = 0
+        j = 1
+        while True:
+            g = j * (3 * j - 1) // 2
+            if g > k:
+                break
+            term = p[k - g] + (p[k - g - j] if g + j <= k else 0)
+            total += term if j % 2 else -term
+            j += 1
+        p[k] = total
+    return p[m]
 
-    The congruence chain forces every multiplicity from the part sequence,
-    so the recursion branches on parts only; subtree counts depend only on
-    (previous part, previous multiplicity, remaining boxes, rows mod n)
-    and are memoized across box counts.
+
+def _count_table(n: int, boxes: int) -> tuple[tuple[int, ...], ...]:
+    """Chain-shape counts for every box count up to `boxes`, per component.
+
+    Parts are taken largest first.  A state (c, r) records c = (last part
+    + its multiplicity) mod n and r = rows so far mod n; the congruence
+    chain forces the next part p to carry multiplicity (p - c) mod n, so
+    each state only needs its generating function in q.  That polynomial
+    is packed into one int, one slot of `width` bits per box count, and
+    every transition is one shift-add.  A slot counts distinct partitions
+    of its box count, so p(boxes) plus a spare top bit bounds it.
     """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.classes = n // 2 + 1
-        self.memo: dict[tuple[int, int, int, int], tuple[int, ...]] = {}
-
-    def _component(self, part: int, mult: int, rows_before: int) -> int:
-        n = self.n
-        return min((part - rows_before) % n, (-(rows_before + mult)) % n)
-
-    def per_class(self, boxes: int) -> tuple[int, ...]:
-        n = self.n
-        totals = [0] * self.classes
-        if boxes < 0:
-            return tuple(totals)
-        if boxes == 0:
-            totals[0] = 1
-            return tuple(totals)
-        for part in range(boxes, 0, -1):
-            mult = part % n
-            if mult == 0:
-                continue
+    width = _partition_number(boxes).bit_length() + 1
+    slots = boxes + 1
+    states: dict[tuple[int, int], int] = {(0, 0): 1}
+    for part in range(boxes, 0, -1):
+        moves = []
+        for (c, r), poly in states.items():
+            mult = (part - c) % n
             cost = part * mult
-            if cost > boxes:
+            if mult == 0 or cost > boxes:
                 continue
-            if cost == boxes:
-                totals[self._component(part, mult, 0)] += 1
-            else:
-                for idx, c in enumerate(self._complete(part, mult, boxes - cost, mult % n)):
-                    totals[idx] += c
-        return tuple(totals)
-
-    def _complete(self, prev_part: int, prev_mult: int, rem: int, rows: int) -> tuple[int, ...]:
-        key = (prev_part, prev_mult, rem, rows)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        n = self.n
-        totals = [0] * self.classes
-        for part in range(min(prev_part - 1, rem), 0, -1):
-            mult = (-(prev_mult + prev_part - part)) % n
-            if mult == 0:
-                continue
-            cost = part * mult
-            if cost > rem:
-                continue
-            if cost == rem:
-                totals[self._component(part, mult, rows)] += 1
-            else:
-                for idx, c in enumerate(self._complete(part, mult, rem - cost, (rows + mult) % n)):
-                    totals[idx] += c
-        result = tuple(totals)
-        self.memo[key] = result
-        return result
+            kept = poly & ((1 << ((slots - cost) * width)) - 1)
+            moves.append((((part + mult) % n, (r + mult) % n), kept << (cost * width)))
+        for key, poly in moves:
+            states[key] = states.get(key, 0) + poly
+    # The component index is a function of the final state; the empty
+    # shape never leaves (0, 0), which is component 0.
+    packed = [0] * (n // 2 + 1)
+    for (c, r), poly in states.items():
+        packed[min((c - r) % n, (-r) % n)] += poly
+    return tuple(_unpack(poly, width, slots) for poly in packed)
 
 
-@functools.lru_cache(maxsize=None)
-def _chain_counter(n: int) -> _ChainCounter:
-    return _ChainCounter(n)
+def _unpack(poly: int, width: int, slots: int) -> tuple[int, ...]:
+    digits = format(poly, f"0{width * slots}b")
+    if len(digits) != width * slots:
+        raise OverflowError("packed counts exceed their slots")
+    out = []
+    for end in range(width * slots, 0, -width):
+        if digits[end - width] != "0":
+            raise OverflowError("slot count reached its sign bit")
+        out.append(int(digits[end - width : end], 2))
+    return tuple(out)
+
+
+_TABLE_CACHE_SIZE = 8
+_tables: dict[int, tuple[tuple[int, ...], ...]] = {}
+
+
+def _table_for(n: int, boxes: int) -> tuple[tuple[int, ...], ...]:
+    """Cached per-component table for modulus n covering `boxes`.
+
+    A too-small table is rebuilt at twice its size or more, so a run of
+    increasing requests rebuilds only logarithmically often.  The cache
+    keeps the most recently used moduli.
+    """
+    table = _tables.pop(n, None)
+    if table is None or len(table[0]) <= boxes:
+        size = boxes if table is None else max(boxes, 2 * (len(table[0]) - 1))
+        table = _count_table(n, size)
+    _tables[n] = table
+    while len(_tables) > _TABLE_CACHE_SIZE:
+        del _tables[next(iter(_tables))]
+    return table
 
 
 def count_by_component(n: int, boxes: int) -> tuple[int, ...]:
     """Chain-shape counts at one box count, indexed by component index."""
     if n < 2:
         raise ValueError("modulus n must be at least 2")
-    return _chain_counter(n).per_class(boxes)
+    if boxes < 0:
+        return (0,) * (n // 2 + 1)
+    return tuple(column[boxes] for column in _table_for(n, boxes))
 
 
 def count_maximal_shapes(n: int, boxes: int) -> int:
@@ -172,13 +187,16 @@ def count_maximal_shapes(n: int, boxes: int) -> int:
 def gf_comb(i: int, n: int, order: int) -> QSeries:
     """Multiplicity generating function from enumeration:
     coefficient of q^m is the count at i^2 + m*n boxes in component i."""
+    if n < 2:
+        raise ValueError("modulus n must be at least 2")
     if not 0 <= i <= n // 2:
         raise ValueError("component index out of range")
     if order < 1:
         raise ValueError("order must be at least 1")
-    counter = _chain_counter(n)
-    coeffs = [counter.per_class(i * i + m * n)[i] for m in range(order)]
-    return QSeries.from_coeffs(coeffs, order)
+    # Size for the highest component so every component at this order
+    # shares one table.
+    column = _table_for(n, (n // 2) ** 2 + (order - 1) * n)[i]
+    return QSeries.from_coeffs(list(column[i * i :: n][:order]), order)
 
 
 # -- theta route -----------------------------------------------------------

@@ -2,6 +2,7 @@ import pytest
 
 from qcrystal.identities import (
     IdentityReport,
+    _mod15_series,
     check_lemma_5_1,
     check_lemma_5_2,
     check_lemma_5_3,
@@ -106,6 +107,14 @@ class TestCountingIdentities:
         report = check_theorem_5_1(30)
         assert report.holds
         assert check_theorem_5_1(0).holds
+
+    def test_theorem_check_at_scale(self):
+        assert check_theorem_5_1(1000).holds
+
+    def test_restricted_series_cache_is_bounded(self):
+        for k in range(50):
+            partition_identity_counts(k)
+        assert _mod15_series.cache_info().currsize <= 8
 
 
 class TestMasterCheck:

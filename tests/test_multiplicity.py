@@ -1,6 +1,6 @@
 import pytest
 
-from qcrystal import qseries as qs
+from qcrystal import multiplicity, qseries as qs
 from qcrystal.multiplicity import (
     NonUnitDeterminantError,
     UnsupportedModulusError,
@@ -78,7 +78,7 @@ class TestTable:
 
 class TestCounting:
     def test_counts_match_enumeration(self):
-        for n in range(2, 7):
+        for n in range(2, 14):
             for boxes in range(26):
                 members = enumerate_maximal_shapes(n, boxes)
                 by_class = [0] * (n // 2 + 1)
@@ -89,6 +89,18 @@ class TestCounting:
 
     def test_negative_boxes(self):
         assert count_maximal_shapes(3, -2) == 0
+
+    def test_table_cache_is_bounded(self):
+        for n in range(2, 20):
+            count_by_component(n, 10)
+        assert len(multiplicity._tables) <= multiplicity._TABLE_CACHE_SIZE
+
+    def test_slot_overflow_is_detected(self):
+        assert multiplicity._unpack(0b011_001, 3, 2) == (1, 3)
+        with pytest.raises(OverflowError):
+            multiplicity._unpack(0b100_001, 3, 2)
+        with pytest.raises(OverflowError):
+            multiplicity._unpack(0b1_000_001, 3, 2)
 
 
 class TestCombSeries:
@@ -107,6 +119,31 @@ class TestCombSeries:
     def test_rejects_bad_component(self):
         with pytest.raises(ValueError):
             gf_comb(2, 3, 5)
+
+    def test_rejects_modulus_below_two(self):
+        with pytest.raises(ValueError):
+            gf_comb(0, 1, 5)
+        with pytest.raises(ValueError):
+            gf_comb(0, 0, 3)
+
+    def test_counts_wider_than_a_machine_word(self):
+        # Coefficient k of the n=2, i=0 series counts partitions of 2k into
+        # distinct odd parts: the even-exponent coefficients of
+        # prod (1 + q^(2j-1)), built here by a plain list DP.
+        order = 1000
+        top = 2 * (order - 1)
+        product = [1] + [0] * top
+        for odd in range(1, top + 1, 2):
+            for x in range(top, odd - 1, -1):
+                product[x] += product[x - odd]
+        got = gf_comb(0, 2, order).coefficient_list()
+        assert got == product[::2]
+        assert max(got).bit_length() > 64
+
+    def test_matches_theta_route_on_proven_moduli(self):
+        for n in (2, 3, 5, 7, 11):
+            for i in range(n // 2 + 1):
+                assert gf_comb(i, n, 200) == gf_theta(i, n, 200), (n, i)
 
 
 class TestBlocks:
