@@ -46,6 +46,7 @@ from .qseries import (
     transform_check,
     restricted_partition_gf,
     det,
+    cofactors,
     first_difference,
 )
 from .multiplicity import (
@@ -60,6 +61,7 @@ from .multiplicity import (
     count_maximal_shapes,
     gf_comb,
     gf_theta,
+    theta_solution,
     master_coefficient,
     residue_block,
     coefficient_matrix,

@@ -1,9 +1,9 @@
 """Command-line surface: decompose, bseries, verify.
 
-Exit codes: 0 success, 1 identity failure, 2 usage error, 3 theta pipeline
-requested for an unsupported modulus without --conjecture.  The QSERIES_ORDER
-environment variable supplies a default truncation order when --order is
-absent.
+Exit codes: 0 success, 1 identity failure, 2 usage error or any other
+rejected input, 3 theta pipeline requested for an unsupported modulus without
+--conjecture.  The QSERIES_ORDER environment variable supplies a default
+truncation order (at least 1) when --order is absent.
 """
 
 import argparse
@@ -47,6 +47,9 @@ def _env_order() -> int | None:
     except ValueError as exc:
         print(f"QSERIES_ORDER must be an integer, got {raw!r}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from exc
+    if value < 1:
+        print(f"QSERIES_ORDER must be at least 1, got {value}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
     return value
 
 
@@ -273,6 +276,8 @@ def main(argv=None) -> int:
         parser.error("--n must be at least 2")
     if hasattr(args, "max_k") and args.max_k is not None and args.max_k < 0:
         parser.error("--max-k must be nonnegative")
+    if getattr(args, "witness_cap", None) is not None and args.witness_cap < 0:
+        parser.error("--witness-cap must be nonnegative")
     for flag in ("order", "master_order"):
         if getattr(args, flag, None) is not None and getattr(args, flag) < 1:
             parser.error(f"--{flag.replace('_', '-')} must be at least 1")
@@ -281,6 +286,9 @@ def main(argv=None) -> int:
     except UnsupportedModulusError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except BrokenPipeError:
         return EXIT_OK
 

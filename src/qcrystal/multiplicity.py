@@ -12,6 +12,7 @@ or twice an odd prime.  For other moduli the same formulas are applied
 only in conjecture mode, and results are reported rather than asserted.
 """
 
+import functools
 from dataclasses import dataclass
 
 from . import qseries as qs
@@ -31,6 +32,7 @@ __all__ = [
     "count_maximal_shapes",
     "gf_comb",
     "gf_theta",
+    "theta_solution",
     "master_coefficient",
     "residue_block",
     "coefficient_matrix",
@@ -213,13 +215,6 @@ class ThetaMatrix:
     def size(self) -> int:
         return len(self.entries)
 
-    def minor(self, row: int, col: int) -> tuple[tuple[QSeries, ...], ...]:
-        return tuple(
-            tuple(entry for j, entry in enumerate(r) if j != col)
-            for idx, r in enumerate(self.entries)
-            if idx != row
-        )
-
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -321,17 +316,24 @@ def entry_via_separation(j: int, i: int, n: int, order: int) -> QSeries:
     return pre.shift(-residue).contract(n)
 
 
-def gf_theta(i: int, n: int, order: int, conjecture: bool = False) -> QSeries:
-    """Multiplicity generating function from the theta-matrix route.
+def theta_solution(n: int, order: int, conjecture: bool = False) -> tuple[QSeries, ...]:
+    """Every component's generating function from one theta-matrix solve,
+    indexed by component; the eight most recent solves are cached."""
+    return _theta_solve(n, order, bool(conjecture))
 
-    Solves by Cramer's rule with exact integer division.  The determinant
-    may carry a positive power of q (its leading row can be divisible by
-    q, as happens for n = 6); that power must also divide the numerator
-    and is cancelled before inverting, so only a non-unit leading
-    coefficient is an error.
+
+@functools.lru_cache(maxsize=8)
+def _theta_solve(n: int, order: int, conjecture: bool) -> tuple[QSeries, ...]:
+    """Solve the theta-matrix system for every component at once.
+
+    Cramer's rule with exact integer division: B_i is the Euler product
+    times the i-th cofactor along row 0, divided by the determinant.  The
+    determinant may carry a positive power of q (its leading row can be
+    divisible by q, as happens for n = 6); that power must also divide
+    every numerator and is cancelled before inverting, so only a non-unit
+    leading coefficient is an error.  The matrix, its determinant and the
+    inverse are built once for all components.
     """
-    if not 0 <= i <= n // 2:
-        raise ValueError("component index out of range")
     if order < 1:
         raise ValueError("order must be at least 1")
     # Work with enough headroom to see past the determinant's valuation,
@@ -353,15 +355,25 @@ def gf_theta(i: int, n: int, order: int, conjecture: bool = False) -> QSeries:
             "cannot divide exactly"
         )
     valuation = full_det.lowest
-    numerator = qs.euler_phi(matrix.order) * qs.det(matrix.minor(0, i))
-    if i % 2:
-        numerator = -numerator
-    if not numerator.is_zero and numerator.lowest < valuation:
-        raise NonUnitDeterminantError(
-            f"numerator valuation below determinant valuation for n={n}, i={i}"
-        )
-    quotient = numerator.shift(-valuation) * full_det.shift(-valuation).invert()
-    return quotient.truncate(order)
+    inverse = full_det.shift(-valuation).invert()
+    phi = qs.euler_phi(matrix.order)
+    solution = []
+    for i, cofactor in enumerate(qs.cofactors(matrix.entries)):
+        numerator = phi * cofactor
+        if not numerator.is_zero and numerator.lowest < valuation:
+            raise NonUnitDeterminantError(
+                f"numerator valuation below determinant valuation for n={n}, i={i}"
+            )
+        solution.append((numerator.shift(-valuation) * inverse).truncate(order))
+    return tuple(solution)
+
+
+def gf_theta(i: int, n: int, order: int, conjecture: bool = False) -> QSeries:
+    """Multiplicity generating function from the theta-matrix route:
+    component i of `theta_solution`."""
+    if not 0 <= i <= n // 2:
+        raise ValueError("component index out of range")
+    return theta_solution(n, order, conjecture)[i]
 
 
 # -- consistency identity ---------------------------------------------------

@@ -9,6 +9,11 @@ The canonical form has a nonzero leading coefficient (the zero series is
 stored as lowest=0 with no coefficients), which makes structural equality
 of the dataclass coincide with coefficient-wise equality at equal order.
 
+Products pick their algorithm by density: a factor with few nonzero
+coefficients (a theta series) is multiplied term by term, skipping zeros;
+two dense factors are packed into one big integer each (Kronecker
+substitution) with slots wide enough for a proven coefficient bound.
+
 Products are exact: when a factor has negative valuation, coefficients of
 the product near the truncation bound would need tail data that a
 truncated factor does not carry, so multiplication lowers the bound of
@@ -16,7 +21,9 @@ the result accordingly instead of fabricating those coefficients.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from math import isqrt
+from operator import add, neg, sub
 
 __all__ = [
     "QSeries",
@@ -30,8 +37,15 @@ __all__ = [
     "transform_check",
     "restricted_partition_gf",
     "det",
+    "cofactors",
     "first_difference",
 ]
+
+
+# A product whose sparser factor has fewer nonzero coefficients than this
+# (a theta series against a dense one, say) runs the zero-skipping loop;
+# denser products are packed into one big integer per factor.
+SPARSE_MUL_LIMIT = 32
 
 
 class OrderMismatchError(ValueError):
@@ -105,7 +119,7 @@ class QSeries:
         """Coefficient at an exponent below the truncation order."""
         if exponent >= self.order:
             raise ValueError(f"exponent {exponent} is beyond truncation order {self.order}")
-        if exponent < self.lowest:
+        if exponent < self.lowest or not self.coeffs:
             return 0
         return self.coeffs[exponent - self.lowest]
 
@@ -135,24 +149,30 @@ class QSeries:
     def __add__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
-        self._check_order(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        lo = min(self.lowest, other.lowest)
-        out = [0] * (self.order - lo)
-        for src in (self, other):
-            base = src.lowest - lo
-            for idx, c in enumerate(src.coeffs):
-                out[base + idx] += c
-        return QSeries._new(lo, out, self.order)
+        return self._combine(other, add)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
-        return self + (-other)
+        if not isinstance(other, QSeries):
+            return NotImplemented
+        return self._combine(other, sub)
+
+    def _combine(self, other: "QSeries", op) -> "QSeries":
+        self._check_order(other)
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other if op is add else -other
+        lo = min(self.lowest, other.lowest)
+        # Both coefficient windows run up to the order, so each fills the
+        # tail of the output from its own lowest exponent on.
+        out = [0] * (self.order - lo)
+        out[self.lowest - lo:] = self.coeffs
+        base = other.lowest - lo
+        out[base:] = map(op, out[base:], other.coeffs)
+        return QSeries._new(lo, out, self.order)
 
     def __neg__(self) -> "QSeries":
-        return QSeries(self.lowest if self.coeffs else 0, tuple(-c for c in self.coeffs), self.order)
+        return QSeries(self.lowest, tuple(map(neg, self.coeffs)), self.order)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -167,16 +187,14 @@ class QSeries:
         width = bound - lo
         if width <= 0:
             return QSeries.zero(bound)
-        out = [0] * width
-        b_coeffs = other.coeffs
-        for ia, ca in enumerate(self.coeffs):
-            if not ca:
-                continue
-            jmax = min(len(b_coeffs), width - ia)
-            for jb in range(jmax):
-                cb = b_coeffs[jb]
-                if cb:
-                    out[ia + jb] += ca * cb
+        a, b = self.coeffs[:width], other.coeffs[:width]
+        nonzero_a, nonzero_b = len(a) - a.count(0), len(b) - b.count(0)
+        if min(nonzero_a, nonzero_b) < SPARSE_MUL_LIMIT:
+            if nonzero_b < nonzero_a:
+                a, b = b, a
+            out = _sparse_product(a, b, width)
+        else:
+            out = _packed_product(a, b, width)
         return QSeries._new(lo, out, bound)
 
     def __rmul__(self, other):
@@ -259,6 +277,53 @@ class QSeries:
         return QSeries._new(self.lowest // k, list(self.coeffs[::k]), new_order)
 
 
+def _sparse_product(sparse, dense, width: int) -> list[int]:
+    """The first `width` coefficients of a product, one pass over the
+    dense factor for each nonzero coefficient of the sparse one."""
+    out = [0] * width
+    for i, c in enumerate(sparse):
+        if not c:
+            continue
+        seg = dense[: width - i]
+        end = i + len(seg)
+        if c == 1:
+            out[i:end] = map(add, out[i:end], seg)
+        elif c == -1:
+            out[i:end] = map(sub, out[i:end], seg)
+        else:
+            out[i:end] = map(add, out[i:end], map(c.__mul__, seg))
+    return out
+
+
+def _packed_product(a, b, width: int) -> list[int]:
+    """The first `width` coefficients of a product by Kronecker substitution.
+
+    Each factor becomes one integer with a slot of `nbytes` bytes per
+    coefficient, so the product is one big-integer multiply.  No product
+    coefficient exceeds max|a| * max|b| * min(len a, len b) in magnitude,
+    and the slots are that bound's bit length plus a sign bit wide, so
+    adding half a slot's range to every slot of the product leaves each
+    slot holding its coefficient plus that bias, with no carry between
+    slots.  Factor coefficients are packed the same way, biased and then
+    unbiased in one subtraction.
+    """
+    bound = max(max(a), -min(a)) * max(max(b), -min(b)) * min(len(a), len(b))
+    nbytes = (bound.bit_length() + 8) // 8
+    bias = 1 << (8 * nbytes - 1)
+    biased_slot = bytes(nbytes - 1) + b"\x80"  # `bias` in one slot
+    to_slot = partial(int.to_bytes, length=nbytes, byteorder="little")
+
+    def pack(coeffs) -> int:
+        raw = b"".join(map(to_slot, map(bias.__add__, coeffs)))
+        return int.from_bytes(raw, "little") - int.from_bytes(biased_slot * len(coeffs), "little")
+
+    span = width * nbytes
+    product = pack(a) * pack(b) + int.from_bytes(biased_slot * width, "little")
+    raw = (product & ((1 << (8 * span)) - 1)).to_bytes(span, "little")
+    slots = map(raw.__getitem__, map(slice, range(0, span, nbytes), range(nbytes, span + 1, nbytes)))
+    return list(map((-bias).__add__, map(partial(int.from_bytes, byteorder="little"), slots)))
+
+
 def first_difference(a: QSeries, b: QSeries) -> tuple[int, int, int] | None:
     """First exponent where two same-order series disagree, with both values."""
     if a.order != b.order:
@@ -275,11 +340,9 @@ def first_difference(a: QSeries, b: QSeries) -> tuple[int, int, int] | None:
 
 
 def _mul_binomial_inplace(window: list[int], exponent: int, sign: int) -> None:
-    """Multiply a dense window (lowest 0) by (1 + sign * q^exponent)."""
-    for x in range(len(window) - 1, exponent - 1, -1):
-        c = window[x - exponent]
-        if c:
-            window[x] += sign * c
+    """Multiply a dense window (lowest 0) by (1 + sign * q^exponent), sign +-1."""
+    if exponent < len(window):
+        window[exponent:] = map(add if sign > 0 else sub, window[exponent:], window[: len(window) - exponent])
 
 
 def euler_phi(order: int, stride: int = 1) -> QSeries:
@@ -407,43 +470,64 @@ def transform_check(r: int, s: int, order: int) -> bool:
 # -- determinants ---------------------------------------------------------
 
 
-def det(matrix) -> QSeries:
-    """Determinant of a small square matrix of same-order series.
-
-    Laplace expansion along rows with memoization on the active column
-    set; matrices up to 6 x 6 are supported.
-    """
+def _square_rows(matrix) -> list[list[QSeries]]:
     rows = [list(r) for r in matrix]
     size = len(rows)
     if size == 0:
         raise ValueError("empty matrix")
     if any(len(r) != size for r in rows):
         raise ValueError("matrix must be square")
-    if size > 6:
-        raise ValueError("determinants are supported up to size 6")
     order = rows[0][0].order
     for r in rows:
         for entry in r:
             if entry.order != order:
                 raise OrderMismatchError("matrix entries must share one truncation order")
+    return rows
 
-    cache: dict[tuple[int, ...], QSeries] = {}
 
-    def expand_over(row: int, cols: tuple[int, ...]) -> QSeries:
-        if not cols:
-            return QSeries.one(order)
+def _laplace(rows: list[list[QSeries]]):
+    """Determinant of the trailing rows restricted to a column tuple.
+
+    Laplace expansion along the top remaining row, memoised on the column
+    set, so every minor is computed once: 2^size column sets in all.  The
+    expansion keeps each product a (usually sparse) entry times a minor,
+    which the sparse product path handles.
+    """
+    size, order = len(rows), rows[0][0].order
+    cache: dict[tuple[int, ...], QSeries] = {(): QSeries.one(order)}
+
+    def minor(cols: tuple[int, ...]) -> QSeries:
         hit = cache.get(cols)
         if hit is not None:
             return hit
+        row = rows[size - len(cols)]
         acc = QSeries.zero(order)
         for pos, col in enumerate(cols):
-            entry = rows[row][col]
+            entry = row[col]
             if entry.is_zero:
                 continue
-            sub = expand_over(row + 1, cols[:pos] + cols[pos + 1:])
-            term = entry * sub
-            acc = acc + (term if pos % 2 == 0 else -term)
+            term = entry * minor(cols[:pos] + cols[pos + 1:])
+            acc = acc - term if pos % 2 else acc + term
         cache[cols] = acc
         return acc
 
-    return expand_over(0, tuple(range(size)))
+    return minor
+
+
+def det(matrix) -> QSeries:
+    """Determinant of a square matrix of same-order series."""
+    rows = _square_rows(matrix)
+    return _laplace(rows)(tuple(range(len(rows))))
+
+
+def cofactors(matrix) -> tuple[QSeries, ...]:
+    """Cofactors along the first row: (-1)^i times the minor without row 0
+    and column i.  They share one memoised expansion of the other rows."""
+    rows = _square_rows(matrix)
+    minor = _laplace(rows)
+    cols = tuple(range(len(rows)))
+    out = []
+    for i in cols:
+        m = minor(cols[:i] + cols[i + 1:])
+        out.append(-m if i % 2 else m)
+    return tuple(out)

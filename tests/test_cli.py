@@ -72,6 +72,11 @@ class TestDecompose:
         assert run_cli("decompose", "--n", "3", "--max-k", "-1").returncode == 2
         assert run_cli("decompose", "--n", "3", "--format", "yaml").returncode == 2
 
+    def test_negative_witness_cap_is_a_usage_error(self):
+        result = run_cli("decompose", "--n", "3", "--max-k", "3", "--witness-cap", "-1")
+        assert result.returncode == 2
+        assert "--witness-cap" in result.stderr and "Traceback" not in result.stderr
+
 
 class TestBseries:
     def test_both_methods_agree(self):
@@ -106,6 +111,13 @@ class TestBseries:
         for series in payload["series"]:
             assert "equal" in series or "theta_error" in series
 
+    def test_proven_modulus_beyond_six_by_six(self):
+        result = run_cli("bseries", "--n", "13", "--method", "both", "--order", "12", "--format", "json")
+        assert result.returncode == 0
+        payload = json.loads(result.stdout)
+        assert len(payload["series"]) == 7
+        assert all(row["equal"] for row in payload["series"])
+
     def test_component_out_of_range(self):
         assert run_cli("bseries", "--n", "3", "--i", "2").returncode == 2
 
@@ -132,6 +144,24 @@ class TestVerify:
         result = run_cli("verify", "--identity", "lemma5.2", env=env)
         payload = json.loads(result.stdout)
         assert payload["checks"][0]["order"] == 17
+
+    def test_env_order_below_one_is_a_usage_error(self):
+        import os
+
+        env = dict(os.environ, QSERIES_ORDER="0")
+        result = run_cli("verify", "--identity", "lemma5.1", env=env)
+        assert result.returncode == 2
+        assert "QSERIES_ORDER" in result.stderr and "Traceback" not in result.stderr
+
+    def test_uncaught_value_error_exits_2(self, monkeypatch, capsys):
+        def broken_check(order):
+            raise ValueError("order too large for this check")
+
+        monkeypatch.setattr(identities, "check_lemma_5_2", broken_check)
+        code = cli.main(["verify", "--identity", "lemma5.2", "--order", "5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == ["error: order too large for this check"]
 
     def test_failure_exits_1(self, monkeypatch, capsys):
         def fake_check(order):

@@ -285,6 +285,34 @@ class TestThetaSeries:
         assert gf_theta(0, 6, 1).coefficient_list() == [1]
         assert gf_theta(3, 6, 2).coefficient_list() == [1, 1]
 
+    def test_proven_moduli_beyond_six_by_six(self):
+        # n = 13, 14, 17 assemble 7x7, 8x8 and 9x9 matrices.
+        for n in (13, 14, 17):
+            for i in range(n // 2 + 1):
+                assert gf_theta(i, n, 40) == gf_comb(i, n, 40), (n, i)
+
+    def test_components_share_one_solve(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return coefficient_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(multiplicity, "coefficient_matrix", counting)
+        multiplicity._theta_solve.cache_clear()
+        # The n = 5 determinant has a unit constant term, so the headroom
+        # loop stops at its first matrix.
+        series = [gf_theta(i, 5, 30) for i in range(3)]
+        assert calls == [(5, 30, False)]
+        assert series == list(multiplicity.theta_solution(5, 30))
+        assert len(calls) == 1
+
+    def test_solution_cache_is_bounded(self):
+        for n in (2, 3, 5, 7, 11):
+            for order in (3, 4):
+                multiplicity.theta_solution(n, order)
+        assert multiplicity._theta_solve.cache_info().currsize <= 8
+
     def test_conjectured_moduli_report_only(self):
         # The construction is applied blindly for n = 4 and 9; agreement
         # with enumeration is recorded here as an observation, and the

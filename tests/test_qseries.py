@@ -1,11 +1,16 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qcrystal import qseries
 from qcrystal.qseries import (
+    SPARSE_MUL_LIMIT,
     NonUnitConstantError,
     OrderMismatchError,
     QSeries,
+    cofactors,
     det,
     euler_phi,
     first_difference,
@@ -53,6 +58,16 @@ class TestRepresentation:
         assert s.coeff(5) == 0
         with pytest.raises(ValueError):
             s.coeff(6)
+
+    def test_zero_series_queries(self):
+        z = QSeries.zero(5)
+        assert z.coeff(0) == 0 and z.coeff(4) == 0 and z.coeff(-3) == 0
+        assert z.coefficient_list() == [0] * 5
+        with pytest.raises(ValueError):
+            z.coeff(5)
+        assert first_difference(QSeries.zero(4), QSeries.one(4)) == (0, 0, 1)
+        assert first_difference(QSeries.one(4), QSeries.zero(4)) == (0, 1, 0)
+        assert first_difference(QSeries.zero(4), QSeries.zero(4)) is None
 
     def test_equality_is_coefficientwise(self):
         a = QSeries.from_coeffs([1, 2], 4)
@@ -122,6 +137,62 @@ class TestRingOperations:
         s = QSeries.from_coeffs([1, 1], 12)
         assert s**3 == s * s * s
         assert s**0 == QSeries.one(12)
+
+# Coefficients small and past a machine word, both signs.
+coefficients = st.one_of(st.integers(-9, 9), st.integers(-(2**80), 2**80))
+
+
+@st.composite
+def series(draw, order):
+    """A series at `order` whose nonzero count falls below or above the
+    product's dispatch threshold, possibly zero, possibly with negative
+    valuation."""
+    lowest = draw(st.integers(-3, min(3, order - 1)))
+    length = order - lowest
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(coefficients, min_size=length, max_size=length))
+    else:
+        nonzero = draw(st.dictionaries(st.integers(0, length - 1), coefficients, max_size=SPARSE_MUL_LIMIT))
+        coeffs = [nonzero.get(idx, 0) for idx in range(length)]
+    return QSeries.from_coeffs(coeffs, order, lowest)
+
+
+@st.composite
+def factor_pairs(draw):
+    order = draw(st.integers(1, 3 * SPARSE_MUL_LIMIT))
+    return draw(series(order)), draw(series(order))
+
+
+class TestProductProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(factor_pairs())
+    def test_product_matches_naive_expansion(self, pair):
+        a, b = pair
+        product = a * b
+        assert product.order == a.order + min(0, a.lowest, b.lowest)
+        assert series_to_dict(product) == naive_series_mul(
+            series_to_dict(a), series_to_dict(b), product.order
+        )
+
+    @settings(max_examples=50, deadline=None)
+    @given(factor_pairs())
+    def test_product_commutes(self, pair):
+        a, b = pair
+        assert a * b == b * a
+
+    @pytest.mark.parametrize("nonzero", [SPARSE_MUL_LIMIT - 1, SPARSE_MUL_LIMIT, 4 * SPARSE_MUL_LIMIT])
+    def test_both_paths_agree_at_the_threshold(self, nonzero):
+        rng = random.Random(nonzero)
+        order = 4 * SPARSE_MUL_LIMIT
+        sparse = [0] * order
+        for idx in rng.sample(range(order), nonzero):
+            sparse[idx] = rng.choice((1, -1, 2, -(2**70)))
+        dense = [rng.randint(-(2**90), 2**90) for _ in range(order)]
+        expected = qseries._sparse_product(sparse, dense, order)
+        assert qseries._packed_product(sparse, dense, order) == expected
+        a, b = QSeries.from_coeffs(sparse, order), QSeries.from_coeffs(dense, order)
+        assert (a * b).coefficient_list() == expected
+        assert series_to_dict(a * b) == naive_series_mul(series_to_dict(a), series_to_dict(b), order)
 
 
 class TestInversion:
@@ -266,12 +337,51 @@ class TestDeterminant:
         )
         assert det(mat) == expected
 
+    def test_seven_by_seven_against_permutation_sum(self):
+        # Leibniz formula with dictionary products, independent of the
+        # library's multiply and of its Laplace memo.
+        rng = random.Random(7)
+        order, size = 6, 7
+        mat = [[rand_series(rng, order, max_lowest=2) for _ in range(size)] for _ in range(size)]
+        dicts = [[series_to_dict(entry) for entry in row] for row in mat]
+        expected: dict[int, int] = {}
+        for perm in itertools.permutations(range(size)):
+            sign = 1
+            for i in range(size):
+                for j in range(i + 1, size):
+                    if perm[i] > perm[j]:
+                        sign = -sign
+            term = {0: sign}
+            for row, col in enumerate(perm):
+                term = naive_series_mul(term, dicts[row][col], order)
+                if not term:
+                    break
+            for e, c in term.items():
+                expected[e] = expected.get(e, 0) + c
+        expected = {e: c for e, c in expected.items() if c}
+        assert series_to_dict(det(mat)) == expected
+
+    def test_cofactors_expand_the_determinant(self):
+        rng = random.Random(8)
+        order = 12
+        for size in (1, 2, 4, 7):
+            mat = [[rand_series(rng, order) for _ in range(size)] for _ in range(size)]
+            cof = cofactors(mat)
+            total = QSeries.zero(order)
+            for entry, c in zip(mat[0], cof):
+                total = total + entry * c
+            assert total == det(mat)
+            if size > 1:
+                minor = [row[1:] for row in mat[1:]]
+                assert cof[0] == det(minor)
+                minor = [row[:1] + row[2:] for row in mat[1:]]
+                assert cof[1] == -det(minor)
+
     def test_rejects_bad_shapes(self):
         a = QSeries.one(5)
         with pytest.raises(ValueError):
             det([[a, a]])
-        with pytest.raises(ValueError):
-            det([[QSeries.one(7)] * 7 for _ in range(7)])
+        assert det([[QSeries.one(7)] * 7 for _ in range(7)]).is_zero
         with pytest.raises(OrderMismatchError):
             det([[QSeries.one(5), QSeries.one(6)], [QSeries.one(5), QSeries.one(5)]])
 
