@@ -17,7 +17,6 @@ from .crystal import (
     Signature,
     SignatureEntry,
     i_signature,
-    reduce_signature,
     e_tilde,
     f_tilde,
     epsilon,

@@ -64,27 +64,31 @@ def _partition_to_json(p: Partition) -> list[list[int]]:
     return [[part, mult] for part, mult in p.pairs]
 
 
+def _print_json_rows(head: dict, key: str, rows) -> None:
+    """Print `head` plus a `key` list as one indented JSON object, with
+    each row of the list compact on its own line."""
+    fields = [f"  {json.dumps(name)}: {json.dumps(value)}," for name, value in head.items()]
+    body = ",\n".join("    " + json.dumps(row) for row in rows)
+    print("\n".join(["{", *fields, f"  {json.dumps(key)}: [", body, "  ]", "}"]))
+
+
 # -- decompose --------------------------------------------------------------
 
 
 def _cmd_decompose(args) -> int:
     table = multiplicity.multiplicity_table(args.n, args.max_k, args.witness_cap)
     if args.format == "json":
-        payload = {
-            "n": table.n,
-            "max_k": table.max_k,
-            "entries": [
-                {
-                    "i": i,
-                    "k": k,
-                    "b": entry.count,
-                    "witnesses": [_partition_to_json(w) for w in entry.witnesses],
-                    **({"witnesses_omitted": entry.omitted} if entry.omitted else {}),
-                }
-                for (i, k), entry in table.rows()
-            ],
-        }
-        print(json.dumps(payload, indent=2))
+        entries = (
+            {
+                "i": i,
+                "k": k,
+                "b": entry.count,
+                "witnesses": [_partition_to_json(w) for w in entry.witnesses],
+                **({"witnesses_omitted": entry.omitted} if entry.omitted else {}),
+            }
+            for (i, k), entry in table.rows()
+        )
+        _print_json_rows({"n": table.n, "max_k": table.max_k}, "entries", entries)
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["i", "k", "b", "witnesses"])
@@ -143,14 +147,8 @@ def _cmd_bseries(args) -> int:
             return EXIT_USAGE
     rows = [_series_rows(args, i, order) for i in components]
     if args.format == "json":
-        payload = {
-            "n": args.n,
-            "order": order,
-            "method": args.method,
-            "conjecture": args.conjecture,
-            "series": rows,
-        }
-        print(json.dumps(payload, indent=2))
+        head = {"n": args.n, "order": order, "method": args.method, "conjecture": args.conjecture}
+        _print_json_rows(head, "series", rows)
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         header = ["i", "m"] + [m for m in ("comb", "theta") if args.method in (m, "both")]

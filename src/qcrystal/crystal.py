@@ -25,7 +25,6 @@ __all__ = [
     "SignatureEntry",
     "Signature",
     "i_signature",
-    "reduce_signature",
     "e_tilde",
     "f_tilde",
     "epsilon",
@@ -63,10 +62,6 @@ class Signature:
             else:
                 stack.append(e)
         return Signature(tuple(stack))
-
-
-def reduce_signature(sig: Signature) -> Signature:
-    return sig.reduced()
 
 
 def _require_crystal_vertex(d: ColoredDiagram) -> None:

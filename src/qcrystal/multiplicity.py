@@ -75,17 +75,27 @@ class MultiplicityTable:
 
 
 def multiplicity_table(n: int, max_k: int, witness_cap: int | None = None) -> MultiplicityTable:
-    """Enumerate and classify every chain shape with k up to max_k."""
+    """Enumerate and classify every chain shape with k up to max_k.
+
+    Each needed box count is enumerated once and each shape classified
+    once; a box count shared by two components (n = 4 or 8, say) also
+    holds labels with k beyond max_k, which are dropped.
+    """
     if n < 2 or max_k < 0:
         raise ValueError("need n >= 2 and max_k >= 0")
-    entries: dict[tuple[int, int], TableEntry] = {}
-    for i in range(n // 2 + 1):
-        for k in range(i, max_k + 1):
-            boxes = i * i + (k - i) * n
-            members = enumerate_maximal_shapes(n, boxes)
-            witnesses = tuple(p for p in members if classify_maximal(p, n).i == i)
-            kept = witnesses if witness_cap is None else witnesses[:witness_cap]
-            entries[(i, k)] = TableEntry(len(witnesses), kept, len(witnesses) - len(kept))
+    found: dict[tuple[int, int], list[Partition]] = {
+        (i, k): [] for i in range(n // 2 + 1) for k in range(i, max_k + 1)
+    }
+    # Largest first, so the shape table is built once at its full size.
+    for boxes in sorted({i * i + (k - i) * n for i, k in found}, reverse=True):
+        for p in enumerate_maximal_shapes(n, boxes):
+            witnesses = found.get(classify_maximal(p, n))
+            if witnesses is not None:
+                witnesses.append(p)
+    entries = {}
+    for key, witnesses in found.items():
+        kept = witnesses if witness_cap is None else witnesses[:witness_cap]
+        entries[key] = TableEntry(len(witnesses), tuple(kept), len(witnesses) - len(kept))
     return MultiplicityTable(n, max_k, entries)
 
 

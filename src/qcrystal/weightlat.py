@@ -105,23 +105,33 @@ def classify_maximal(p: Partition, n: int) -> ComponentLabel:
 
     Computes 2 L_0 minus the colored-box root sum and matches it against
     L_i + L_{n-i} - k delta.  The box count must satisfy
-    boxes = i^2 + (k - i) n with k >= i; violations raise.
+    boxes = i^2 + (k - i) n with k >= i; violations raise.  The weight is
+    a plain list of L-coefficients plus a delta integer, with each simple
+    root written out as in simple_root:
+    alpha_t = 2 L_t - L_{t-1} - L_{t+1} + [t = 0] delta.
     """
     if not is_maximal_shape(p, n):
         raise ValueError(f"{p} is not a chain-family member for n={n}")
     counts = color_counts(ColoredDiagram(p, n, 0))
-    w = 2 * fundamental_weight(0, n)
+    lam = [0] * n
+    lam[0] = 2
+    delta = -counts[0]  # alpha_0 is the only simple root carrying delta
     for t, count in enumerate(counts):
         if count:
-            w = w - count * simple_root(t, n)
-    k = -w.delta
+            lam[t] -= 2 * count
+            lam[t - 1] += count
+            lam[(t + 1) % n] += count
+    k = -delta
     label = None
     for i in range(n // 2 + 1):
-        expected = fundamental_weight(i, n) + fundamental_weight((n - i) % n, n)
-        if w.lam == expected.lam:
+        expected = [0] * n
+        expected[i] += 1
+        expected[-i] += 1
+        if lam == expected:
             label = ComponentLabel(i, k)
             break
     if label is None:
+        w = WeightVector(tuple(lam), delta)
         raise ValueError(f"weight of {p} is not of component form: {w}")
     if k < label.i or p.boxes != label.i**2 + (k - label.i) * n:
         raise ValueError(f"inconsistent classification for {p}: {label}")

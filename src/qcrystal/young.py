@@ -6,8 +6,8 @@ diagram of charge t carries color (c - r + t) mod n; colors increase left
 to right along a row and decrease down a column.
 """
 
-import functools
 from dataclasses import dataclass
+from math import isqrt
 
 __all__ = [
     "Partition",
@@ -170,41 +170,38 @@ def is_maximal_shape(p: Partition, n: int) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=None)
-def _maximal_shapes(n: int, boxes: int) -> tuple[Partition, ...]:
-    if boxes == 0:
-        return (EMPTY,)
-    out: list[Partition] = []
+_SHAPE_CACHE_SIZE = 8
+_shape_tables: dict[int, tuple[tuple[Partition, ...], ...]] = {}
 
-    def extend(prefix, prev_part, prev_mult, remaining):
-        # The chain congruence forces each multiplicity, so the search
-        # branches on the next part only.
-        for part in range(min(prev_part - 1, remaining), 0, -1):
-            mult = (-(prev_mult + prev_part - part)) % n
-            if mult == 0:
-                continue
-            cost = part * mult
-            if cost > remaining:
-                continue
-            pair = prefix + ((part, mult),)
-            if cost == remaining:
-                out.append(Partition(pair))
-            else:
-                extend(pair, part, mult, remaining - cost)
 
-    for part in range(boxes, 0, -1):
-        mult = part % n
-        if mult == 0:
-            continue
-        cost = part * mult
-        if cost > boxes:
-            continue
-        pair = ((part, mult),)
-        if cost == boxes:
-            out.append(Partition(pair))
-        else:
-            extend(pair, part, mult, boxes - cost)
-    return tuple(out)
+def _shape_table(n: int, boxes: int) -> tuple[tuple[Partition, ...], ...]:
+    """Chain shapes of every box count up to `boxes`, one bucket per count.
+
+    Every prefix of a chain shape is a chain shape, because the conditions
+    bind f1 and consecutive pairs only.  One depth-first search from the
+    null partition therefore reaches each shape exactly once, as a node,
+    and files it under its box count.  Two shapes of one box count first
+    differ at a pair whose multiplicity the previous pair forces, so their
+    parts differ there; visiting the larger part first lists every bucket
+    in descending lexicographic order.
+    """
+    buckets: list[list[Partition]] = [[] for _ in range(boxes + 1)]
+    buckets[0].append(EMPTY)
+
+    def extend(prefix, top, c, size):
+        # c = (last part + its multiplicity) mod n forces the next
+        # multiplicity, so the search branches on the next part only.
+        for part in range(min(top, boxes - size), 0, -1):
+            mult = (part - c) % n
+            total = size + part * mult
+            if mult == 0 or total > boxes:
+                continue
+            pairs = prefix + ((part, mult),)
+            buckets[total].append(Partition(pairs))
+            extend(pairs, part - 1, (part + mult) % n, total)
+
+    extend((), boxes, 0, 0)
+    return tuple(map(tuple, buckets))
 
 
 def enumerate_maximal_shapes(n: int, boxes: int) -> tuple[Partition, ...]:
@@ -213,9 +210,23 @@ def enumerate_maximal_shapes(n: int, boxes: int) -> tuple[Partition, ...]:
     Results are duplicate-free and listed in descending lexicographic
     order of the flattened part list.  Depth-first search over parts with
     forced multiplicities emits exactly that order, so no sort is needed.
+    Shapes come from a per-modulus table of every box count up to the
+    largest requested; the eight most recently used moduli are kept.
     """
     if n < 2:
         raise ValueError("modulus n must be at least 2")
     if boxes < 0:
         raise ValueError("box count must be nonnegative")
-    return _maximal_shapes(n, boxes)
+    table = _shape_tables.pop(n, None)
+    if table is None or len(table) <= boxes:
+        # Shape counts grow like exp(c * sqrt(boxes)), so doubling the box
+        # count would multiply the table many times over (about 100x from
+        # 80 to 160 boxes for n = 2); a step of sqrt(boxes) boxes grows it
+        # by under 2x for n = 2, 3, 5 up to 200 boxes.
+        built = -1 if table is None else len(table) - 1
+        size = max(boxes, built + isqrt(built + 1))
+        table = _shape_table(n, size)
+    _shape_tables[n] = table
+    while len(_shape_tables) > _SHAPE_CACHE_SIZE:
+        del _shape_tables[next(iter(_shape_tables))]
+    return table[boxes]

@@ -85,3 +85,67 @@ def colors_by_cell(parts, charge, n):
         for col in range(1, length + 1):
             counts[(col - row + charge) % n] += 1
     return tuple(counts)
+
+
+def chain_shapes_per_box_count(n, boxes):
+    """Chain shapes with exactly `boxes` boxes, as (part, multiplicity)
+    pair tuples in descending lexicographic order of their parts.
+
+    A depth-first search run for this one box count: each part's
+    multiplicity is forced by the previous pair, and a branch is emitted
+    only when it uses up the box count exactly.
+    """
+    if boxes == 0:
+        return [()]
+    out = []
+
+    def extend(prefix, prev_part, prev_mult, remaining):
+        for part in range(min(prev_part - 1, remaining), 0, -1):
+            mult = (-(prev_mult + prev_part - part)) % n
+            if mult == 0 or part * mult > remaining:
+                continue
+            pairs = prefix + ((part, mult),)
+            if part * mult == remaining:
+                out.append(pairs)
+            else:
+                extend(pairs, part, mult, remaining - part * mult)
+
+    for part in range(boxes, 0, -1):
+        mult = part % n
+        if mult == 0 or part * mult > boxes:
+            continue
+        if part * mult == boxes:
+            out.append(((part, mult),))
+        else:
+            extend(((part, mult),), part, mult, boxes - part * mult)
+    return out
+
+
+def component_index_by_cells(pairs, n):
+    """Component index of a chain shape from a cell-by-cell color tally.
+
+    The weight 2 L_0 - sum_t c_t alpha_t, with
+    alpha_t = 2 L_t - L_{t-1} - L_{t+1} + [t = 0] delta, must have
+    L-part L_i + L_{n-i} for exactly one i in 0..n//2.
+    """
+    c = colors_by_cell([part for part, mult in pairs for _ in range(mult)], 0, n)
+    lam = [2 * (t == 0) - 2 * c[t] + c[t - 1] + c[(t + 1) % n] for t in range(n)]
+    (i,) = [t for t in range(n // 2 + 1) if lam[t]]
+    assert lam == [(t == i) + (t == (n - i) % n) for t in range(n)]
+    return i
+
+
+def multiplicity_table_by_filter(n, max_k, witness_cap=None):
+    """(i, k) -> (count, witness pair tuples, omitted), enumerating each
+    (i, k)'s box count on its own and keeping the shapes of component i."""
+    out = {}
+    for i in range(n // 2 + 1):
+        for k in range(i, max_k + 1):
+            witnesses = [
+                pairs
+                for pairs in chain_shapes_per_box_count(n, i * i + (k - i) * n)
+                if component_index_by_cells(pairs, n) == i
+            ]
+            kept = witnesses if witness_cap is None else witnesses[:witness_cap]
+            out[(i, k)] = (len(witnesses), tuple(kept), len(witnesses) - len(kept))
+    return out

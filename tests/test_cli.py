@@ -41,6 +41,15 @@ class TestDecompose:
         payload = json.loads(result.stdout)
         assert payload["entries"] == [{"i": 0, "k": 0, "b": 1, "witnesses": [[]]}]
 
+    def test_json_puts_one_entry_per_line(self, capsys):
+        assert cli.main(["decompose", "--n", "3", "--max-k", "4", "--format", "json"]) == 0
+        text = capsys.readouterr().out
+        lines = text.splitlines()
+        assert lines[:4] == ["{", '  "n": 3,', '  "max_k": 4,', '  "entries": [']
+        assert lines[-2:] == ["  ]", "}"]
+        rows = [json.loads(line.strip().rstrip(",")) for line in lines[4:-2]]
+        assert rows == json.loads(text)["entries"] and len(rows) == 9
+
     def test_output_is_deterministic(self):
         a = run_cli("decompose", "--n", "3", "--max-k", "4", "--format", "json")
         b = run_cli("decompose", "--n", "3", "--max-k", "4", "--format", "json")
@@ -89,6 +98,15 @@ class TestBseries:
         assert series["comb"] == [1, 2, 2, 4, 5, 8, 11, 16]
         assert series["comb"] == series["theta"]
         assert series["equal"] is True
+
+    def test_json_puts_one_series_per_line(self, capsys):
+        argv = ["bseries", "--n", "5", "--order", "6", "--method", "both", "--format", "json"]
+        assert cli.main(argv) == 0
+        text = capsys.readouterr().out
+        lines = text.splitlines()
+        assert lines[-2:] == ["  ]", "}"] and lines[5] == '  "series": ['
+        rows = [json.loads(line.strip().rstrip(",")) for line in lines[6:-2]]
+        assert rows == json.loads(text)["series"] and [r["i"] for r in rows] == [0, 1, 2]
 
     def test_order_one(self):
         result = run_cli("bseries", "--n", "2", "--i", "0", "--order", "1")

@@ -14,7 +14,6 @@ from qcrystal.crystal import (
     is_maximal_second_factor,
     is_maximal_structural,
     phi,
-    reduce_signature,
 )
 from qcrystal.weightlat import simple_root, weight_of
 from qcrystal.young import ColoredDiagram, EMPTY, Partition, is_maximal_shape, is_n_regular
@@ -46,7 +45,7 @@ class TestSignature:
         assert word_of("-+").reduced().word() == "-+"
         assert word_of("++--").reduced().word() == ""
         assert word_of("-++--+").reduced().word() == "-+"
-        assert reduce_signature(word_of("+-")).word() == ""
+        assert Signature.reduced(word_of("+-")).word() == ""
 
     def test_reduced_shape_on_diagrams(self):
         for n in (2, 3):

@@ -21,7 +21,7 @@ from qcrystal.qseries import QSeries, euler_phi, theta_f, theta_g
 from qcrystal.weightlat import classify_maximal
 from qcrystal.young import EMPTY, Partition, enumerate_maximal_shapes
 
-from helpers import count_distinct_odd
+from helpers import count_distinct_odd, multiplicity_table_by_filter
 
 # Known decomposition table for n=3: multiplicities and witness shapes.
 TABLE_N3_I0 = {
@@ -67,6 +67,18 @@ class TestTable:
         assert entry.count == 7
         assert len(entry.witnesses) == 2
         assert entry.omitted == 5
+
+    @pytest.mark.parametrize("n, max_k", [(4, 10), (8, 6), (9, 6)])
+    @pytest.mark.parametrize("witness_cap", [None, 0, 2])
+    def test_matches_per_entry_filter(self, n, max_k, witness_cap):
+        # Moduli where two components share a box residue, so one box
+        # count feeds two entries and holds labels beyond max_k.
+        table = multiplicity_table(n, max_k, witness_cap)
+        got = {
+            key: (e.count, tuple(w.pairs for w in e.witnesses), e.omitted)
+            for key, e in table.entries.items()
+        }
+        assert got == multiplicity_table_by_filter(n, max_k, witness_cap)
 
     def test_entries_classify_back(self):
         table = multiplicity_table(4, 5)

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qcrystal import qseries
 from qcrystal.qseries import (
@@ -222,6 +222,41 @@ class TestInversion:
             QSeries.monomial(1, 1, 6).invert()
         with pytest.raises(NonUnitConstantError):
             QSeries.zero(6).invert()
+
+
+@st.composite
+def unit_series(draw):
+    """A series with lowest 0 and constant term +-1."""
+    order = draw(st.integers(1, 40))
+    tail = draw(st.lists(coefficients, min_size=order - 1, max_size=order - 1))
+    return QSeries.from_coeffs([draw(st.sampled_from((1, -1))), *tail], order)
+
+
+class TestInversionProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(unit_series())
+    def test_unit_constant_term_inverts(self, s):
+        assert (s * s.invert()).truncate(s.order) == QSeries.one(s.order)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(-(2**80), 2**80).filter(lambda c: c not in (1, -1)),
+        st.lists(coefficients, max_size=20),
+    )
+    def test_non_unit_constant_term_raises(self, constant, tail):
+        # A zero constant term leaves a positive valuation or the zero series.
+        s = QSeries.from_coeffs([constant, *tail], len(tail) + 1)
+        with pytest.raises(NonUnitConstantError):
+            s.invert()
+
+
+class TestSubstitutionProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40).flatmap(series), st.integers(1, 6))
+    @example(QSeries.zero(7), 3)
+    @example(QSeries.from_coeffs([5, 0, -2**70], 4, lowest=-3), 4)
+    def test_expand_then_contract_is_identity(self, s, k):
+        assert s.expand(k).contract(k) == s
 
 
 class TestSubstitutions:

@@ -1,5 +1,6 @@
 import pytest
 
+from qcrystal import young
 from qcrystal.young import (
     EMPTY,
     ColoredDiagram,
@@ -11,7 +12,13 @@ from qcrystal.young import (
     is_n_regular,
 )
 
-from helpers import colors_by_cell, count_distinct_odd, partitions_of, partitions_upto
+from helpers import (
+    chain_shapes_per_box_count,
+    colors_by_cell,
+    count_distinct_odd,
+    partitions_of,
+    partitions_upto,
+)
 
 
 def P(*parts):
@@ -144,6 +151,32 @@ class TestEnumeration:
     def test_distinct_odd_counts_for_modulus_two(self):
         for boxes in range(16):
             assert len(enumerate_maximal_shapes(2, boxes)) == count_distinct_odd(boxes)
+
+    @pytest.mark.parametrize("earlier", ["cold", "larger", "smaller"])
+    def test_matches_per_box_count_search(self, earlier):
+        # Cold builds each box count's table on its own; a larger earlier
+        # request serves every count from one table; a smaller one makes
+        # the ascending requests regrow it.
+        for n in range(2, 9):
+            young._shape_tables.clear()
+            if earlier == "larger":
+                enumerate_maximal_shapes(n, 60)
+            elif earlier == "smaller":
+                enumerate_maximal_shapes(n, 5)
+            for boxes in range(41):
+                if earlier == "cold":
+                    young._shape_tables.clear()
+                got = [p.pairs for p in enumerate_maximal_shapes(n, boxes)]
+                assert got == chain_shapes_per_box_count(n, boxes), (n, boxes, earlier)
+
+    def test_shape_cache_is_bounded(self):
+        for n in range(2, 20):
+            enumerate_maximal_shapes(n, 10)
+        assert list(young._shape_tables) == list(range(20 - young._SHAPE_CACHE_SIZE, 20))
+        # Regrowth steps by about sqrt(boxes), not to twice the table.
+        enumerate_maximal_shapes(2, 40)
+        enumerate_maximal_shapes(2, 41)
+        assert 41 <= len(young._shape_tables[2]) - 1 < 60
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
