@@ -12,6 +12,7 @@ from .young import (
     is_n_regular,
     is_maximal_shape,
     enumerate_maximal_shapes,
+    maximal_shape_color_counts,
 )
 from .crystal import (
     Signature,

@@ -14,7 +14,6 @@ import sys
 
 from . import identities, multiplicity
 from .multiplicity import NonUnitDeterminantError, UnsupportedModulusError
-from .young import Partition
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -60,10 +59,6 @@ def _resolve_order(flag_value: int | None, fallback: int) -> int:
     return env if env is not None else fallback
 
 
-def _partition_to_json(p: Partition) -> list[list[int]]:
-    return [[part, mult] for part, mult in p.pairs]
-
-
 def _print_json_rows(head: dict, key: str, rows) -> None:
     """Print `head` plus a `key` list as one indented JSON object, with
     each row of the list compact on its own line."""
@@ -83,7 +78,7 @@ def _cmd_decompose(args) -> int:
                 "i": i,
                 "k": k,
                 "b": entry.count,
-                "witnesses": [_partition_to_json(w) for w in entry.witnesses],
+                "witnesses": [w.pairs for w in entry.witnesses],
                 **({"witnesses_omitted": entry.omitted} if entry.omitted else {}),
             }
             for (i, k), entry in table.rows()
@@ -129,9 +124,6 @@ def _series_rows(args, i: int, order: int):
 
 def _cmd_bseries(args) -> int:
     order = _resolve_order(args.order, 20)
-    if order < 1:
-        print("order must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
     if args.method in ("theta", "both"):
         _, proven = multiplicity.theta_branch(args.n)
         if not proven and not args.conjecture:

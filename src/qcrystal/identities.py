@@ -172,6 +172,15 @@ def _count_at(tag: str, m: int, order: int) -> int:
     return _mod15_series(tag, order).coeff(m)
 
 
+def _quadruple(k: int, order: int) -> tuple[int, int, int, int]:
+    """(a, b, c, d) at index k, reading the mod-15 series at `order` > k."""
+    a = count_maximal_shapes(3, 3 * k)
+    b = count_maximal_shapes(3, 3 * k - 2)
+    c = _count_at("c+", k, order) - _count_at("c-", k - 1, order)
+    d = _count_at("d+", k - 1, order) + _count_at("d-", k - 2, order)
+    return a, b, c, d
+
+
 def partition_identity_counts(k: int) -> tuple[int, int, int, int]:
     """The quadruple (a, b, c, d) at index k.
 
@@ -182,27 +191,19 @@ def partition_identity_counts(k: int) -> tuple[int, int, int, int]:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    order = k + 1
-    a = count_maximal_shapes(3, 3 * k)
-    b = count_maximal_shapes(3, 3 * k - 2)
-    c = _count_at("c+", k, order) - _count_at("c-", k - 1, order)
-    d = _count_at("d+", k - 1, order) + _count_at("d-", k - 2, order)
-    return a, b, c, d
+    return _quadruple(k, k + 1)
 
 
 def check_theorem_5_1(max_k: int) -> IdentityReport:
-    """Counting identities a(k) = c(k) and b(k) = d(k) up to max_k."""
+    """Counting identities a(k) = c(k) and b(k) = d(k) up to max_k; every
+    a = c case is checked before the first b = d case."""
     if max_k < 0:
         raise ValueError("max_k must be nonnegative")
-    order = max_k + 1
-    for k in range(max_k + 1):
-        a = count_maximal_shapes(3, 3 * k)
-        c = _count_at("c+", k, order) - _count_at("c-", k - 1, order)
+    quadruples = [_quadruple(k, max_k + 1) for k in range(max_k + 1)]
+    for k, (a, _, c, _) in enumerate(quadruples):
         if a != c:
             return _report(f"theorem5.1[a=c,k={k}]", max_k, (k, a, c))
-    for k in range(1, max_k + 1):
-        b = count_maximal_shapes(3, 3 * k - 2)
-        d = _count_at("d+", k - 1, order) + _count_at("d-", k - 2, order)
+    for k, (_, b, _, d) in enumerate(quadruples[1:], start=1):
         if b != d:
             return _report(f"theorem5.1[b=d,k={k}]", max_k, (k, b, d))
     return _report("theorem5.1", max_k, None)

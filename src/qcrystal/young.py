@@ -18,6 +18,7 @@ __all__ = [
     "is_n_regular",
     "is_maximal_shape",
     "enumerate_maximal_shapes",
+    "maximal_shape_color_counts",
 ]
 
 
@@ -119,23 +120,28 @@ def color_of(row: int, col: int, charge: int, n: int) -> int:
     return (col - row + charge) % n
 
 
+def _add_row(counts: list[int], length: int, row: int, charge: int) -> None:
+    """Add the cells of (1-based) row `row`, `length` long, to `counts`."""
+    n = len(counts)
+    # Row r is a run of `length` consecutive residues starting at
+    # color_of(r, 1): `length // n` full cycles plus a tail.
+    full, tail = divmod(length, n)
+    if full:
+        for t in range(n):
+            counts[t] += full
+    start = (1 - row + charge) % n
+    for off in range(tail):
+        counts[(start + off) % n] += 1
+
+
 def color_counts(d: ColoredDiagram) -> tuple[int, ...]:
     """Number of cells of each color, indexed by residue 0..n-1."""
-    n = d.n
-    counts = [0] * n
+    counts = [0] * d.n
     row = 0
     for length, mult in d.shape.pairs:
         for _ in range(mult):
             row += 1
-            # Row r is a run of `length` consecutive residues starting
-            # at color_of(r, 1): `length // n` full cycles plus a tail.
-            full, tail = divmod(length, n)
-            if full:
-                for t in range(n):
-                    counts[t] += full
-            start = (1 - row + d.charge) % n
-            for off in range(tail):
-                counts[(start + off) % n] += 1
+            _add_row(counts, length, row, d.charge)
     return tuple(counts)
 
 
@@ -171,11 +177,14 @@ def is_maximal_shape(p: Partition, n: int) -> bool:
 
 
 _SHAPE_CACHE_SIZE = 8
-_shape_tables: dict[int, tuple[tuple[Partition, ...], ...]] = {}
+# One box count's chain shapes and their color counts, as parallel tuples.
+_Bucket = tuple[tuple[Partition, ...], tuple[tuple[int, ...], ...]]
+_shape_tables: dict[int, tuple[_Bucket, ...]] = {}
 
 
-def _shape_table(n: int, boxes: int) -> tuple[tuple[Partition, ...], ...]:
-    """Chain shapes of every box count up to `boxes`, one bucket per count.
+def _shape_table(n: int, boxes: int) -> tuple[_Bucket, ...]:
+    """Chain shapes of every box count up to `boxes`, with their charge-0
+    color counts, one (shapes, counts) pair per box count.
 
     Every prefix of a chain shape is a chain shape, because the conditions
     bind f1 and consecutive pairs only.  One depth-first search from the
@@ -183,12 +192,18 @@ def _shape_table(n: int, boxes: int) -> tuple[tuple[Partition, ...], ...]:
     and files it under its box count.  Two shapes of one box count first
     differ at a pair whose multiplicity the previous pair forces, so their
     parts differ there; visiting the larger part first lists every bucket
-    in descending lexicographic order.
+    in descending lexicographic order.  A node's color counts are its
+    parent's plus the `mult` rows of length `part` it appends below the
+    parent's rows; equal count vectors share one tuple.
     """
-    buckets: list[list[Partition]] = [[] for _ in range(boxes + 1)]
-    buckets[0].append(EMPTY)
+    zero = (0,) * n
+    vectors = {zero: zero}
+    shapes: list[list[Partition]] = [[] for _ in range(boxes + 1)]
+    counts: list[list[tuple[int, ...]]] = [[] for _ in range(boxes + 1)]
+    shapes[0].append(EMPTY)
+    counts[0].append(zero)
 
-    def extend(prefix, top, c, size):
+    def extend(prefix, top, c, size, rows, vec):
         # c = (last part + its multiplicity) mod n forces the next
         # multiplicity, so the search branches on the next part only.
         for part in range(min(top, boxes - size), 0, -1):
@@ -197,22 +212,22 @@ def _shape_table(n: int, boxes: int) -> tuple[tuple[Partition, ...], ...]:
             if mult == 0 or total > boxes:
                 continue
             pairs = prefix + ((part, mult),)
-            buckets[total].append(Partition(pairs))
-            extend(pairs, part - 1, (part + mult) % n, total)
+            grown = list(vec)
+            for row in range(rows + 1, rows + mult + 1):
+                _add_row(grown, part, row, 0)
+            grown = tuple(grown)
+            grown = vectors.setdefault(grown, grown)
+            shapes[total].append(Partition(pairs))
+            counts[total].append(grown)
+            extend(pairs, part - 1, (part + mult) % n, total, rows + mult, grown)
 
-    extend((), boxes, 0, 0)
-    return tuple(map(tuple, buckets))
+    extend((), boxes, 0, 0, 0, zero)
+    return tuple(zip(map(tuple, shapes), map(tuple, counts)))
 
 
-def enumerate_maximal_shapes(n: int, boxes: int) -> tuple[Partition, ...]:
-    """All chain-family members with the given box count.
-
-    Results are duplicate-free and listed in descending lexicographic
-    order of the flattened part list.  Depth-first search over parts with
-    forced multiplicities emits exactly that order, so no sort is needed.
-    Shapes come from a per-modulus table of every box count up to the
-    largest requested; the eight most recently used moduli are kept.
-    """
+def _shape_bucket(n: int, boxes: int) -> _Bucket:
+    """The (shapes, counts) pair for one box count, from the cached table
+    of modulus n; the eight most recently used moduli are kept."""
     if n < 2:
         raise ValueError("modulus n must be at least 2")
     if boxes < 0:
@@ -230,3 +245,21 @@ def enumerate_maximal_shapes(n: int, boxes: int) -> tuple[Partition, ...]:
     while len(_shape_tables) > _SHAPE_CACHE_SIZE:
         del _shape_tables[next(iter(_shape_tables))]
     return table[boxes]
+
+
+def enumerate_maximal_shapes(n: int, boxes: int) -> tuple[Partition, ...]:
+    """All chain-family members with the given box count.
+
+    Results are duplicate-free and listed in descending lexicographic
+    order of the flattened part list.  Depth-first search over parts with
+    forced multiplicities emits exactly that order, so no sort is needed.
+    Shapes come from a per-modulus table of every box count up to the
+    largest requested; the eight most recently used moduli are kept.
+    """
+    return _shape_bucket(n, boxes)[0]
+
+
+def maximal_shape_color_counts(n: int, boxes: int) -> tuple[tuple[int, ...], ...]:
+    """Charge-0 color counts of `enumerate_maximal_shapes(n, boxes)`, in
+    the same order; shapes with equal counts share one tuple."""
+    return _shape_bucket(n, boxes)[1]

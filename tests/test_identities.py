@@ -1,5 +1,6 @@
 import pytest
 
+from qcrystal import identities
 from qcrystal.identities import (
     IdentityReport,
     _mod15_series,
@@ -110,6 +111,30 @@ class TestCountingIdentities:
 
     def test_theorem_check_at_scale(self):
         assert check_theorem_5_1(1000).holds
+
+    def test_theorem_check_builds_each_series_once(self):
+        _mod15_series.cache_clear()
+        assert check_theorem_5_1(40).holds
+        assert _mod15_series.cache_info().misses == 4
+
+    def test_theorem_check_reports_a_equals_c_before_b_equals_d(self, monkeypatch):
+        true_count = identities.count_maximal_shapes
+        wrong = {}  # box count -> error added to the true count
+
+        def perturbed(n, boxes):
+            return true_count(n, boxes) + wrong.get(boxes, 0)
+
+        monkeypatch.setattr(identities, "count_maximal_shapes", perturbed)
+        wrong.update({3 * 2 - 2: 1, 3 * 5: 1})  # b at k = 2, a at k = 5
+        a5, _, c5, _ = partition_identity_counts(5)
+        report = check_theorem_5_1(8)
+        assert (report.name, report.first_discrepancy) == ("theorem5.1[a=c,k=5]", (5, a5, c5))
+        assert a5 == c5 + 1
+        wrong.pop(3 * 5)
+        _, b2, _, d2 = partition_identity_counts(2)
+        report = check_theorem_5_1(8)
+        assert (report.name, report.first_discrepancy) == ("theorem5.1[b=d,k=2]", (2, b2, d2))
+        assert not report.holds and b2 == d2 + 1
 
     def test_restricted_series_cache_is_bounded(self):
         for k in range(50):

@@ -19,7 +19,7 @@ from qcrystal.multiplicity import (
 )
 from qcrystal.qseries import QSeries, euler_phi, theta_f, theta_g
 from qcrystal.weightlat import classify_maximal
-from qcrystal.young import EMPTY, Partition, enumerate_maximal_shapes
+from qcrystal.young import EMPTY, ColoredDiagram, Partition, color_counts, enumerate_maximal_shapes
 
 from helpers import count_distinct_odd, multiplicity_table_by_filter
 
@@ -79,6 +79,22 @@ class TestTable:
             for key, e in table.entries.items()
         }
         assert got == multiplicity_table_by_filter(n, max_k, witness_cap)
+
+    def test_classifies_once_per_color_vector(self, monkeypatch):
+        calls = []
+
+        def counting(p, n):
+            calls.append(p)
+            return classify_maximal(p, n)
+
+        monkeypatch.setattr(multiplicity, "classify_maximal", counting)
+        table = multiplicity_table(2, 40)
+        box_counts = {i * i + (k - i) * 2 for i, k in table.entries}
+        shapes = [p for boxes in box_counts for p in enumerate_maximal_shapes(2, boxes)]
+        vectors = {color_counts(ColoredDiagram(p, 2, 0)) for p in shapes}
+        assert len(calls) == len(vectors)
+        assert 20 * len(calls) < len(shapes)
+        assert sum(e.count for e in table.entries.values()) == len(shapes)
 
     def test_entries_classify_back(self):
         table = multiplicity_table(4, 5)

@@ -10,6 +10,7 @@ from qcrystal.young import (
     enumerate_maximal_shapes,
     is_maximal_shape,
     is_n_regular,
+    maximal_shape_color_counts,
 )
 
 from helpers import (
@@ -169,6 +170,32 @@ class TestEnumeration:
                 got = [p.pairs for p in enumerate_maximal_shapes(n, boxes)]
                 assert got == chain_shapes_per_box_count(n, boxes), (n, boxes, earlier)
 
+    @pytest.mark.parametrize("earlier", ["cold", "larger", "smaller"])
+    def test_carried_color_counts_match_cell_counts(self, earlier):
+        # Same three paths as above: the counts carried through the search
+        # must survive regrowth as well as a cold or oversized build.
+        for n in range(2, 9):
+            young._shape_tables.clear()
+            if earlier == "larger":
+                enumerate_maximal_shapes(n, 60)
+            elif earlier == "smaller":
+                enumerate_maximal_shapes(n, 5)
+            for boxes in range(41):
+                if earlier == "cold":
+                    young._shape_tables.clear()
+                shapes = enumerate_maximal_shapes(n, boxes)
+                carried = maximal_shape_color_counts(n, boxes)
+                expected = [color_counts(ColoredDiagram(p, n, 0)) for p in shapes]
+                assert list(carried) == expected, (n, boxes, earlier)
+
+    def test_equal_color_counts_share_one_tuple(self):
+        young._shape_tables.clear()
+        by_value = {}
+        for boxes in range(41):
+            for counts in maximal_shape_color_counts(2, boxes):
+                assert by_value.setdefault(counts, counts) is counts
+        assert len(by_value) < sum(len(enumerate_maximal_shapes(2, b)) for b in range(41))
+
     def test_shape_cache_is_bounded(self):
         for n in range(2, 20):
             enumerate_maximal_shapes(n, 10)
@@ -183,3 +210,7 @@ class TestEnumeration:
             enumerate_maximal_shapes(1, 4)
         with pytest.raises(ValueError):
             enumerate_maximal_shapes(3, -1)
+        with pytest.raises(ValueError):
+            maximal_shape_color_counts(1, 4)
+        with pytest.raises(ValueError):
+            maximal_shape_color_counts(3, -1)
