@@ -199,6 +199,8 @@ def check_theorem_5_1(max_k: int) -> IdentityReport:
     a = c case is checked before the first b = d case."""
     if max_k < 0:
         raise ValueError("max_k must be nonnegative")
+    # Largest first, so the chain-count table is built once at full size.
+    count_maximal_shapes(3, 3 * max_k)
     quadruples = [_quadruple(k, max_k + 1) for k in range(max_k + 1)]
     for k, (a, _, c, _) in enumerate(quadruples):
         if a != c:

@@ -341,33 +341,38 @@ def theta_solution(n: int, order: int, conjecture: bool = False) -> tuple[QSerie
     return _theta_solve(n, order, bool(conjecture))
 
 
+def _determinant_valuation(n: int) -> int:
+    """Power of q dividing the theta-matrix determinant: row j has
+    valuation floor(j^2 / n), and the rows rescaled by those powers have a
+    unimodular constant-term matrix."""
+    return sum(j * j // n for j in range(n // 2 + 1))
+
+
 @functools.lru_cache(maxsize=8)
 def _theta_solve(n: int, order: int, conjecture: bool) -> tuple[QSeries, ...]:
     """Solve the theta-matrix system for every component at once.
 
     Cramer's rule with exact integer division: B_i is the Euler product
     times the i-th cofactor along row 0, divided by the determinant.  The
-    determinant may carry a positive power of q (its leading row can be
-    divisible by q, as happens for n = 6); that power must also divide
-    every numerator and is cancelled before inverting, so only a non-unit
-    leading coefficient is an error.  The matrix, its determinant and the
-    inverse are built once for all components.
+    determinant carries the power q^v with v = sum of floor(j^2 / n) over
+    the rows (v = 1 for n = 6); that power must also divide every
+    numerator and is cancelled before inverting.  Since v is known in
+    advance, the matrix is built once at order + v, so the quotient is
+    exact to the requested order, and its determinant, inverse and
+    cofactors serve every component; the Euler product comes from
+    `euler_phi`'s cache.  A zero determinant, a valuation above v or a
+    leading coefficient other than +-1 raises `NonUnitDeterminantError`;
+    no n in 2..23, conjectured moduli included, does.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    # Work with enough headroom to see past the determinant's valuation,
-    # which is invisible when it reaches the truncation bound itself.
-    extra = 0
-    while True:
-        matrix = coefficient_matrix(n, order + extra, conjecture)
-        full_det = qs.det(matrix.entries)
-        if not full_det.is_zero and full_det.lowest <= extra:
-            break
-        if extra >= 32:
-            raise NonUnitDeterminantError(
-                f"determinant for n={n} vanishes to high order; system is singular"
-            )
-        extra = max(2 * extra, 8)
+    headroom = _determinant_valuation(n)
+    matrix = coefficient_matrix(n, order + headroom, conjecture)
+    full_det = qs.det(matrix.entries)
+    if full_det.is_zero or full_det.lowest > headroom:
+        raise NonUnitDeterminantError(
+            f"determinant for n={n} vanishes beyond q^{headroom}; system is singular"
+        )
     if full_det.coeffs[0] not in (1, -1):
         raise NonUnitDeterminantError(
             f"determinant for n={n} has leading coefficient other than +-1; "

@@ -21,7 +21,7 @@ the result accordingly instead of fabricating those coefficients.
 """
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from math import isqrt
 from operator import add, neg, sub
 
@@ -328,6 +328,8 @@ def first_difference(a: QSeries, b: QSeries) -> tuple[int, int, int] | None:
     """First exponent where two same-order series disagree, with both values."""
     if a.order != b.order:
         raise OrderMismatchError(f"orders differ: {a.order} != {b.order}")
+    if a == b:  # canonical form: equal coefficients means equal dataclasses
+        return None
     lo = min(a.lowest if a.coeffs else a.order, b.lowest if b.coeffs else b.order)
     for e in range(lo, a.order):
         ca, cb = a.coeff(e), b.coeff(e)
@@ -346,11 +348,21 @@ def _mul_binomial_inplace(window: list[int], exponent: int, sign: int) -> None:
 
 
 def euler_phi(order: int, stride: int = 1) -> QSeries:
-    """Product of (1 - q^(stride * j)) over j >= 1, truncated."""
+    """Product of (1 - q^(stride * j)) over j >= 1, truncated.
+
+    The eight most recently requested (order, stride) pairs are cached;
+    the result is immutable, so callers share it.
+    """
     if order < 1:
         raise ValueError("order must be at least 1")
     if stride < 1:
         raise ValueError("stride must be positive")
+    return _euler_phi(order, stride)
+
+
+@lru_cache(maxsize=8)
+def _euler_phi(order: int, stride: int) -> QSeries:
+    """The product itself, one binomial at a time."""
     window = [0] * order
     window[0] = 1
     j = 1

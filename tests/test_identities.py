@@ -1,6 +1,6 @@
 import pytest
 
-from qcrystal import identities
+from qcrystal import identities, multiplicity
 from qcrystal.identities import (
     IdentityReport,
     _mod15_series,
@@ -116,6 +116,19 @@ class TestCountingIdentities:
         _mod15_series.cache_clear()
         assert check_theorem_5_1(40).holds
         assert _mod15_series.cache_info().misses == 4
+
+    def test_theorem_check_builds_chain_table_once(self, monkeypatch):
+        builds = []
+        real = multiplicity._count_table
+
+        def counting(n, boxes):
+            builds.append((n, boxes))
+            return real(n, boxes)
+
+        monkeypatch.setattr(multiplicity, "_count_table", counting)
+        multiplicity._tables.clear()
+        assert check_theorem_5_1(200).holds
+        assert builds == [(3, 600)]
 
     def test_theorem_check_reports_a_equals_c_before_b_equals_d(self, monkeypatch):
         true_count = identities.count_maximal_shapes

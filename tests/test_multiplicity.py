@@ -308,8 +308,9 @@ class TestThetaSeries:
             assert gf_comb(i, 10, 8) == gf_theta(i, 10, 8), i
 
     def test_small_orders_survive_determinant_valuation(self):
-        # At order 1 the n=6 determinant truncates to zero; headroom
-        # probing must still recover the constant term.
+        # At order 1 the n=6 determinant truncates to zero; the solve's
+        # known headroom (its valuation, 1) must still recover the
+        # constant term.
         assert gf_theta(0, 6, 1).coefficient_list() == [1]
         assert gf_theta(3, 6, 2).coefficient_list() == [1, 1]
 
@@ -328,12 +329,52 @@ class TestThetaSeries:
 
         monkeypatch.setattr(multiplicity, "coefficient_matrix", counting)
         multiplicity._theta_solve.cache_clear()
-        # The n = 5 determinant has a unit constant term, so the headroom
-        # loop stops at its first matrix.
+        # The n = 5 determinant has valuation 0, so the solve needs no
+        # headroom above the requested order.
         series = [gf_theta(i, 5, 30) for i in range(3)]
         assert calls == [(5, 30, False)]
         assert series == list(multiplicity.theta_solution(5, 30))
         assert len(calls) == 1
+
+    def test_solve_builds_one_matrix_at_known_headroom(self, monkeypatch):
+        calls, dets = [], []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return coefficient_matrix(*args, **kwargs)
+
+        def counting_det(matrix):
+            dets.append(len(matrix))
+            return real_det(matrix)
+
+        real_det = qs.det
+        monkeypatch.setattr(multiplicity, "coefficient_matrix", counting)
+        monkeypatch.setattr(qs, "det", counting_det)
+        # Headroom = sum of floor(j^2 / n) over j <= n / 2.
+        for n, headroom in ((6, 1), (7, 1), (10, 3), (11, 3)):
+            multiplicity._theta_solve.cache_clear()
+            calls.clear()
+            dets.clear()
+            series = multiplicity.theta_solution(n, 12)
+            assert calls == [(n, 12 + headroom, False)], n
+            assert dets == [n // 2 + 1], n
+            assert all(s.order == 12 for s in series)
+
+    def test_determinant_vanishing_beyond_headroom_is_singular(self, monkeypatch):
+        # Pretend the n = 6 determinant (valuation 1) needs no headroom: at
+        # order 1 it truncates to zero, at order 10 its valuation exceeds 0.
+        monkeypatch.setattr(multiplicity, "_determinant_valuation", lambda n: 0)
+        multiplicity._theta_solve.cache_clear()
+        for order in (1, 10):
+            with pytest.raises(NonUnitDeterminantError):
+                multiplicity.theta_solution(6, order)
+
+    def test_proven_modulus_with_deep_determinant_valuation(self):
+        # n = 31 is proven, and its determinant vanishes to order 34.
+        assert theta_branch(31) == ("odd-prime", True)
+        assert multiplicity._determinant_valuation(31) == 34
+        for i, s in enumerate(multiplicity.theta_solution(31, 3)):
+            assert s == gf_comb(i, 31, 3), i
 
     def test_solution_cache_is_bounded(self):
         for n in (2, 3, 5, 7, 11):

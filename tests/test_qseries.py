@@ -290,6 +290,18 @@ class TestEulerProducts:
     def test_order_one(self):
         assert euler_phi(1) == QSeries.one(1)
 
+    def test_cache_is_bounded_and_shared(self):
+        qseries._euler_phi.cache_clear()
+        for bad in ((0,), (-3, 1), (5, 0), (5, -2)):
+            with pytest.raises(ValueError):
+                euler_phi(*bad)
+        assert qseries._euler_phi.cache_info().currsize == 0
+        assert euler_phi(50) is euler_phi(50, 1) is euler_phi(50, stride=1)
+        assert qseries._euler_phi.cache_info().currsize == 1
+        for order in range(1, 20):
+            euler_phi(order, stride=1 + order % 3)
+        assert qseries._euler_phi.cache_info().currsize <= 8
+
 
 class TestTheta:
     def test_pentagonal_equivalence(self):
@@ -435,12 +447,41 @@ class TestRestrictedPartitions:
                 assert series.coeff(m) == want, (excluded, m)
 
 
+@st.composite
+def comparable_pairs(draw):
+    """Two series at one order: the same object, an equal copy, a
+    one-term perturbation, or an independent draw."""
+    order = draw(st.integers(1, 40))
+    a = draw(series(order))
+    how = draw(st.sampled_from(("same", "copy", "perturbed", "independent")))
+    if how == "same":
+        return a, a
+    if how == "copy":
+        return a, QSeries.from_coeffs(list(a.coeffs), order, a.lowest)
+    if how == "perturbed":
+        term = QSeries.monomial(draw(coefficients.filter(bool)), draw(st.integers(-3, order - 1)), order)
+        return a, a + term
+    return a, draw(series(order))
+
+
 class TestFirstDifference:
     def test_reports_smallest_exponent(self):
         a = euler_phi(30)
         b = a + QSeries.monomial(5, 7, 30)
         assert first_difference(a, b) == (7, a.coeff(7), a.coeff(7) + 5)
         assert first_difference(a, a) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(comparable_pairs())
+    @example((QSeries.zero(5), QSeries.zero(5)))
+    @example((QSeries.zero(5), QSeries.monomial(1, -2, 5)))
+    @example((QSeries.monomial(2, -3, 4), QSeries.monomial(2, -3, 4)))
+    def test_none_exactly_when_equal(self, pair):
+        a, b = pair
+        diff = first_difference(a, b)
+        assert (diff is None) == (a == b)
+        scan = ((e, a.coeff(e), b.coeff(e)) for e in range(-3, a.order))
+        assert diff == next((d for d in scan if d[1] != d[2]), None)
 
 
 def test_partitions_of_oracle_is_sound():
