@@ -43,7 +43,6 @@ from .qseries import (
     theta_g,
     triple_product_f,
     triple_product_g,
-    transform_check,
     restricted_partition_gf,
     det,
     cofactors,
@@ -52,7 +51,6 @@ from .qseries import (
 from .multiplicity import (
     MultiplicityTable,
     TableEntry,
-    ThetaMatrix,
     UnsupportedModulusError,
     NonUnitDeterminantError,
     theta_branch,
@@ -67,7 +65,6 @@ from .multiplicity import (
     coefficient_matrix,
     entry_via_separation,
     master_discrepancy,
-    verify_master,
 )
 from .identities import (
     IdentityReport,

@@ -11,6 +11,7 @@ import csv
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from . import identities, multiplicity
 from .multiplicity import NonUnitDeterminantError, UnsupportedModulusError
@@ -20,21 +21,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 
-IDENTITY_CHOICES = (
-    "lemma5.1",
-    "lemma5.2",
-    "lemma5.3",
-    "lemma5.4",
-    "theorem5.1",
-    "master",
-    "triple-product",
-    "all",
-)
-
-MASTER_DEFAULT_ORDER = 120
-LEMMA_DEFAULT_ORDER = 300
-TRIPLE_DEFAULT_ORDER = 200
 MASTER_DEFAULT_NS = (2, 3, 4, 5, 6, 7)
+TRIPLE_DEFAULT_ORDER = 200
 
 
 def _env_order() -> int | None:
@@ -52,11 +40,17 @@ def _env_order() -> int | None:
     return value
 
 
-def _resolve_order(flag_value: int | None, fallback: int) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = _env_order()
-    return env if env is not None else fallback
+def _resolve_order(args, sources: tuple[str, ...], default: int) -> int:
+    """The first set source, else `default`.  A source is an option dest;
+    "order" reads `--order`, then QSERIES_ORDER, which is therefore read
+    only when a run falls back to it."""
+    for source in sources:
+        value = getattr(args, source)
+        if value is None and source == "order":
+            value = _env_order()
+        if value is not None:
+            return value
+    return default
 
 
 def _print_json_rows(head: dict, key: str, rows) -> None:
@@ -123,7 +117,7 @@ def _series_rows(args, i: int, order: int):
 
 
 def _cmd_bseries(args) -> int:
-    order = _resolve_order(args.order, 20)
+    order = _resolve_order(args, ("order",), 20)
     if args.method in ("theta", "both"):
         _, proven = multiplicity.theta_branch(args.n)
         if not proven and not args.conjecture:
@@ -173,33 +167,48 @@ def _cmd_bseries(args) -> int:
 # -- verify -----------------------------------------------------------------
 
 
-def _verify_reports(args) -> list[identities.IdentityReport]:
-    selected = args.identity
-    reports: list[identities.IdentityReport] = []
-    lemma_order = _resolve_order(args.order, LEMMA_DEFAULT_ORDER)
-    if selected in ("lemma5.1", "lemma5.2", "lemma5.3", "lemma5.4"):
-        reports.append(identities.check_by_name(selected, order=lemma_order))
-    elif selected == "all":
-        for name in ("lemma5.1", "lemma5.2", "lemma5.3", "lemma5.4"):
-            reports.append(identities.check_by_name(name, order=lemma_order))
-    if selected in ("theorem5.1", "all"):
-        reports.append(identities.check_theorem_5_1(args.max_k))
-    if selected in ("master", "all"):
-        if selected == "master":
-            master_order = args.master_order or _resolve_order(args.order, MASTER_DEFAULT_ORDER)
-        else:
-            master_order = args.master_order or MASTER_DEFAULT_ORDER
-        ns = [args.n] if args.n is not None else list(MASTER_DEFAULT_NS)
-        for n in ns:
-            reports.append(identities.check_master(n, master_order))
-    if selected in ("triple-product", "all"):
-        tp_order = _resolve_order(args.order, TRIPLE_DEFAULT_ORDER) if selected != "all" else TRIPLE_DEFAULT_ORDER
-        reports.append(identities.check_triple_product(order=tp_order))
-    return reports
+class Identity(NamedTuple):
+    """One `verify` row.  `run(order, args)` returns the row's reports; its
+    order is resolved from `alone` when the row is selected by itself, from
+    `in_all` under `--identity all`."""
+
+    run: Callable[[int, argparse.Namespace], list[identities.IdentityReport]]
+    alone: tuple[str, ...]
+    in_all: tuple[str, ...]
+    default: int
+
+
+def _single(check: str):
+    # Looked up at call time, so wrappers and test doubles are seen.
+    return lambda order, args: [getattr(identities, check)(order)]
+
+
+def _masters(order: int, args) -> list[identities.IdentityReport]:
+    ns = [args.n] if args.n is not None else MASTER_DEFAULT_NS
+    return [identities.check_master(n, order) for n in ns]
+
+
+# `all` runs the rows in this order.  Under `all`, master keeps 120 unless
+# --master-order is given (its enumeration series are the costliest item)
+# and the triple product always runs at its default.
+IDENTITIES = {
+    "lemma5.1": Identity(_single("check_lemma_5_1"), ("order",), ("order",), 300),
+    "lemma5.2": Identity(_single("check_lemma_5_2"), ("order",), ("order",), 300),
+    "lemma5.3": Identity(_single("check_lemma_5_3"), ("order",), ("order",), 300),
+    "lemma5.4": Identity(_single("check_lemma_5_4"), ("order",), ("order",), 300),
+    "theorem5.1": Identity(_single("check_theorem_5_1"), ("max_k",), ("max_k",), 30),
+    "master": Identity(_masters, ("master_order", "order"), ("master_order",), 120),
+    "triple-product": Identity(_single("check_triple_product"), ("order",), (), TRIPLE_DEFAULT_ORDER),
+}
 
 
 def _cmd_verify(args) -> int:
-    reports = _verify_reports(args)
+    if args.identity == "all":
+        plan = [(row, _resolve_order(args, row.in_all, row.default)) for row in IDENTITIES.values()]
+    else:
+        row = IDENTITIES[args.identity]
+        plan = [(row, _resolve_order(args, row.alone, row.default))]
+    reports = [report for row, order in plan for report in row.run(order, args)]
     payload = {
         "checks": [
             {
@@ -249,10 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bs.set_defaults(func=_cmd_bseries)
 
     p_ver = sub.add_parser("verify", help="run identity checks, JSON report")
-    p_ver.add_argument("--identity", choices=IDENTITY_CHOICES, default="all")
+    p_ver.add_argument("--identity", choices=(*IDENTITIES, "all"), default="all")
     p_ver.add_argument("--order", type=int, default=None)
     p_ver.add_argument("--master-order", type=int, default=None, dest="master_order")
-    p_ver.add_argument("--max-k", type=int, default=30, dest="max_k")
+    p_ver.add_argument("--max-k", type=int, default=None, dest="max_k")
     p_ver.add_argument("--n", type=int, default=None, help="modulus for the master check")
     p_ver.set_defaults(func=_cmd_verify)
 

@@ -124,7 +124,7 @@ def check_lemma_5_4(order: int) -> IdentityReport:
     """Determinant factorization for modulus 3, with its two supporting facts."""
     phi_sq = qs.euler_phi(order) ** 2
 
-    full_det = qs.det(coefficient_matrix(3, order).entries)
+    full_det = qs.det(coefficient_matrix(3, order))
     diff = qs.first_difference(full_det, phi_sq)
     if diff is not None:
         return _report("lemma5.4[det]", order, diff)
@@ -236,15 +236,3 @@ def check_triple_product(order: int = 200, max_rs: int = 10, euler_order: int = 
         return _report("triple-product[pentagonal]", euler_order, diff)
     return _report("triple-product", order, None)
 
-
-def check_by_name(name: str, **kwargs) -> IdentityReport:
-    """Dispatch a check by its CLI identifier."""
-    table = {
-        "lemma5.1": check_lemma_5_1,
-        "lemma5.2": check_lemma_5_2,
-        "lemma5.3": check_lemma_5_3,
-        "lemma5.4": check_lemma_5_4,
-    }
-    if name not in table:
-        raise KeyError(name)
-    return table[name](**kwargs)

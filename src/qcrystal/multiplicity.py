@@ -23,7 +23,6 @@ from .young import Partition, enumerate_maximal_shapes, maximal_shape_color_coun
 __all__ = [
     "TableEntry",
     "MultiplicityTable",
-    "ThetaMatrix",
     "UnsupportedModulusError",
     "NonUnitDeterminantError",
     "theta_branch",
@@ -38,7 +37,6 @@ __all__ = [
     "coefficient_matrix",
     "entry_via_separation",
     "master_discrepancy",
-    "verify_master",
 ]
 
 
@@ -223,18 +221,6 @@ def gf_comb(i: int, n: int, order: int) -> QSeries:
 # -- theta route -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ThetaMatrix:
-    n: int
-    branch: str
-    order: int
-    entries: tuple[tuple[QSeries, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -283,13 +269,16 @@ def _entry_terms(j: int, i: int, n: int):
         yield t, (-1 if t % 2 else 1), t * (t - 1) // 2 + ((t + i) ** 2) // n
 
 
-def coefficient_matrix(n: int, order: int, conjecture: bool = False) -> ThetaMatrix:
-    """Assemble the linear system's coefficient matrix at the given order.
+def coefficient_matrix(
+    n: int, order: int, conjecture: bool = False
+) -> tuple[tuple[QSeries, ...], ...]:
+    """Assemble the linear system's coefficient matrix at the given order,
+    as a tuple of rows.
 
     Row j collects the blocks whose exponents lie in the class of j^2;
     every assembled entry must come out with nonnegative valuation.
     """
-    branch, proven = theta_branch(n)
+    _, proven = theta_branch(n)
     if not proven and not conjecture:
         raise UnsupportedModulusError(
             f"matrix construction for n={n} is conjectural; pass conjecture=True to build it"
@@ -307,7 +296,7 @@ def coefficient_matrix(n: int, order: int, conjecture: bool = False) -> ThetaMat
                 raise ValueError(f"entry ({j}, {i}) for n={n} has negative valuation")
             row.append(entry)
         rows.append(tuple(row))
-    return ThetaMatrix(n, branch, order, tuple(rows))
+    return tuple(rows)
 
 
 def entry_via_separation(j: int, i: int, n: int, order: int) -> QSeries:
@@ -368,7 +357,7 @@ def _theta_solve(n: int, order: int, conjecture: bool) -> tuple[QSeries, ...]:
         raise ValueError("order must be at least 1")
     headroom = _determinant_valuation(n)
     matrix = coefficient_matrix(n, order + headroom, conjecture)
-    full_det = qs.det(matrix.entries)
+    full_det = qs.det(matrix)
     if full_det.is_zero or full_det.lowest > headroom:
         raise NonUnitDeterminantError(
             f"determinant for n={n} vanishes beyond q^{headroom}; system is singular"
@@ -380,9 +369,9 @@ def _theta_solve(n: int, order: int, conjecture: bool) -> tuple[QSeries, ...]:
         )
     valuation = full_det.lowest
     inverse = full_det.shift(-valuation).invert()
-    phi = qs.euler_phi(matrix.order)
+    phi = qs.euler_phi(order + headroom)
     solution = []
-    for i, cofactor in enumerate(qs.cofactors(matrix.entries)):
+    for i, cofactor in enumerate(qs.cofactors(matrix)):
         numerator = phi * cofactor
         if not numerator.is_zero and numerator.lowest < valuation:
             raise NonUnitDeterminantError(
@@ -437,13 +426,3 @@ def master_discrepancy(
         total = total + master_coefficient(i, n, order) * s.expand(n).truncate(order)
     return qs.first_difference(lhs, total)
 
-
-def verify_master(
-    n: int,
-    order: int,
-    series: list[QSeries] | None = None,
-    method: str = "comb",
-    conjecture: bool = False,
-) -> bool:
-    """True when the product identity holds coefficient-wise to the order."""
-    return master_discrepancy(n, order, series, method, conjecture) is None

@@ -34,7 +34,6 @@ __all__ = [
     "theta_g",
     "triple_product_f",
     "triple_product_g",
-    "transform_check",
     "restricted_partition_gf",
     "det",
     "cofactors",
@@ -460,23 +459,6 @@ def triple_product_f(r: int, s: int, order: int) -> QSeries:
 def triple_product_g(r: int, s: int, order: int) -> QSeries:
     """Product form with minus signs in the two odd factor families."""
     return _triple_product(r, s, order, -1)
-
-
-def transform_check(r: int, s: int, order: int) -> bool:
-    """Verify the index shift (r, s) -> (2r + s, -r) with prefactor q^r.
-
-    The f-series picks up the prefactor directly, the g-series also flips
-    sign.  Both comparisons are exact to the given order.
-    """
-    if r + s <= 0:
-        raise ValueError("transformation needs r + s > 0")
-    lhs_f = theta_f(r, s, order)
-    rhs_f = theta_f(2 * r + s, -r, order - r).shift(r)
-    if lhs_f != rhs_f:
-        return False
-    lhs_g = theta_g(r, s, order)
-    rhs_g = -(theta_g(2 * r + s, -r, order - r).shift(r))
-    return lhs_g == rhs_g
 
 
 # -- determinants ---------------------------------------------------------

@@ -1,7 +1,10 @@
 """Brute-force oracles used to pin expected values independently of the
-library's own algorithms."""
+library's own algorithms, and checks of series laws the library itself
+never calls."""
 
 import functools
+
+from qcrystal.qseries import theta_f, theta_g
 
 
 def partitions_of(total, max_part=None):
@@ -149,3 +152,20 @@ def multiplicity_table_by_filter(n, max_k, witness_cap=None):
             kept = witnesses if witness_cap is None else witnesses[:witness_cap]
             out[(i, k)] = (len(witnesses), tuple(kept), len(witnesses) - len(kept))
     return out
+
+
+def transform_check(r, s, order):
+    """Verify the index shift (r, s) -> (2r + s, -r) with prefactor q^r.
+
+    The f-series picks up the prefactor directly, the g-series also flips
+    sign.  Both comparisons are exact to the given order.
+    """
+    if r + s <= 0:
+        raise ValueError("transformation needs r + s > 0")
+    lhs_f = theta_f(r, s, order)
+    rhs_f = theta_f(2 * r + s, -r, order - r).shift(r)
+    if lhs_f != rhs_f:
+        return False
+    lhs_g = theta_g(r, s, order)
+    rhs_g = -(theta_g(2 * r + s, -r, order - r).shift(r))
+    return lhs_g == rhs_g

@@ -17,7 +17,7 @@ from qcrystal.identities import (
     check_lemma_5_4,
     check_theorem_5_1,
 )
-from qcrystal.multiplicity import gf_comb, gf_theta, verify_master
+from qcrystal.multiplicity import gf_comb, gf_theta, master_discrepancy
 from qcrystal.qseries import (
     euler_phi,
     theta_f,
@@ -158,7 +158,7 @@ def test_criterion_5_pipeline_agreement():
 def test_criterion_6_master_identity():
     start = time.perf_counter()
     for n in range(2, 8):
-        assert verify_master(n, 120), n
+        assert master_discrepancy(n, 120) is None, n
     elapsed = time.perf_counter() - start
     print(f"[criterion 6] PASS product identity holds to order 120 for n=2..7 ({elapsed:.2f}s)")
 

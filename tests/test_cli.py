@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -229,6 +230,87 @@ class TestVerify:
 
     def test_unknown_identity_rejected(self):
         assert run_cli("verify", "--identity", "lemma9.9").returncode == 2
+
+
+# Order each check runs at, for each source of an order: the id selected
+# alone, then under --identity all.  theorem5.1 reads only --max-k (30).
+ORDER_SOURCES = {
+    "--order": (["--order", "40"], {}),
+    "--master-order": (["--master-order", "50"], {}),
+    "QSERIES_ORDER": ([], {"QSERIES_ORDER": "60"}),
+    "nothing": ([], {}),
+}
+EXPECTED_ORDERS = {
+    #                  --order  --master-order  QSERIES_ORDER  nothing
+    "lemma5.1": {"alone": (40, 300, 60, 300), "all": (40, 300, 60, 300)},
+    "lemma5.2": {"alone": (40, 300, 60, 300), "all": (40, 300, 60, 300)},
+    "lemma5.3": {"alone": (40, 300, 60, 300), "all": (40, 300, 60, 300)},
+    "lemma5.4": {"alone": (40, 300, 60, 300), "all": (40, 300, 60, 300)},
+    "theorem5.1": {"alone": (30, 30, 30, 30), "all": (30, 30, 30, 30)},
+    "master": {"alone": (40, 50, 60, 120), "all": (120, 50, 120, 120)},
+    "triple-product": {"alone": (40, 200, 60, 200), "all": (200, 200, 200, 200)},
+}
+
+
+@pytest.fixture
+def echoing_checks(monkeypatch):
+    """Replace every check with a fake that reports the order it was given."""
+
+    def echo(name):
+        return lambda order: identities.IdentityReport(name, order, True)
+
+    for attr, name in (
+        ("check_lemma_5_1", "lemma5.1"),
+        ("check_lemma_5_2", "lemma5.2"),
+        ("check_lemma_5_3", "lemma5.3"),
+        ("check_lemma_5_4", "lemma5.4"),
+        ("check_theorem_5_1", "theorem5.1"),
+        ("check_triple_product", "triple-product"),
+    ):
+        monkeypatch.setattr(identities, attr, echo(name))
+    monkeypatch.setattr(
+        identities,
+        "check_master",
+        lambda n, order: identities.IdentityReport(f"master[n={n}]", order, True),
+    )
+
+
+class TestVerifyOrderRule:
+    @pytest.mark.parametrize("source", list(ORDER_SOURCES))
+    @pytest.mark.parametrize("mode", ["alone", "all"])
+    @pytest.mark.parametrize("identity", list(EXPECTED_ORDERS))
+    def test_reported_order(self, identity, mode, source, echoing_checks, monkeypatch, capsys):
+        flags, env = ORDER_SOURCES[source]
+        monkeypatch.delenv("QSERIES_ORDER", raising=False)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        selected = identity if mode == "alone" else "all"
+        assert cli.main(["verify", "--identity", selected, *flags]) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        orders = {c["order"] for c in checks if c["name"].split("[")[0] == identity}
+        expected = EXPECTED_ORDERS[identity][mode][list(ORDER_SOURCES).index(source)]
+        assert orders == {expected}
+
+    def test_identity_choices_are_the_table_plus_all(self):
+        (subparsers,) = [
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        (identity,) = [a for a in subparsers.choices["verify"]._actions if a.dest == "identity"]
+        assert list(identity.choices) == [*cli.IDENTITIES, "all"]
+        assert list(cli.IDENTITIES) == list(EXPECTED_ORDERS)
+
+    @pytest.mark.parametrize(
+        "env, argv, order",
+        [
+            ("abc", ["--identity", "theorem5.1"], 30),
+            ("0", ["--identity", "master", "--master-order", "10", "--n", "2"], 10),
+        ],
+    )
+    def test_env_order_is_read_only_when_used(self, env, argv, order, monkeypatch, capsys):
+        monkeypatch.setenv("QSERIES_ORDER", env)
+        assert cli.main(["verify", *argv]) == 0
+        (check,) = json.loads(capsys.readouterr().out)["checks"]
+        assert check["order"] == order and check["holds"] is True
 
 
 class TestCrossPipeline:

@@ -17,7 +17,6 @@ from qcrystal.qseries import (
     restricted_partition_gf,
     theta_f,
     theta_g,
-    transform_check,
     triple_product_f,
     triple_product_g,
 )
@@ -27,6 +26,7 @@ from helpers import (
     naive_series_mul,
     partitions_of,
     series_to_dict,
+    transform_check,
 )
 
 
