@@ -5,7 +5,6 @@ machine-checked multiplicity and partition identities."""
 
 from .young import (
     Partition,
-    ColoredDiagram,
     EMPTY,
     color_of,
     color_counts,

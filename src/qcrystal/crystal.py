@@ -1,4 +1,4 @@
-"""Raising and lowering operators on n-regular charge-0 colored diagrams.
+"""Raising and lowering operators on n-regular colored diagrams.
 
 A column of a diagram is removable for color i when its bottom cell has
 color i and deleting that cell leaves a valid diagram shape; it is
@@ -19,7 +19,7 @@ smallest column); the lowering operator adds a box at the first surviving
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .young import ColoredDiagram, Partition, is_n_regular
+from .young import Partition, is_n_regular
 
 __all__ = [
     "SignatureEntry",
@@ -64,11 +64,9 @@ class Signature:
         return Signature(tuple(stack))
 
 
-def _require_crystal_vertex(d: ColoredDiagram) -> None:
-    if d.charge != 0:
-        raise ValueError("crystal operators are defined on charge-0 diagrams")
-    if not is_n_regular(d.shape, d.n):
-        raise ValueError(f"diagram {d.shape} is not {d.n}-regular")
+def _require_crystal_vertex(p: Partition, n: int) -> None:
+    if not is_n_regular(p, n):
+        raise ValueError(f"diagram {p} is not {n}-regular")
 
 
 def _column_height(rows_ascending: tuple[int, ...], col: int) -> int:
@@ -76,14 +74,13 @@ def _column_height(rows_ascending: tuple[int, ...], col: int) -> int:
     return len(rows_ascending) - bisect_left(rows_ascending, col)
 
 
-def i_signature(d: ColoredDiagram, i: int) -> Signature:
+def i_signature(p: Partition, n: int, i: int) -> Signature:
     """Signature of color i, one entry per contributing column."""
-    _require_crystal_vertex(d)
-    if not 0 <= i < d.n:
+    _require_crystal_vertex(p, n)
+    if not 0 <= i < n:
         raise ValueError("color index out of range")
-    rows = d.shape.parts
+    rows = p.parts
     rows_asc = rows[::-1]
-    n = d.n
     width = rows[0] if rows else 0
     entries: list[SignatureEntry] = []
     for col in range(width + 1, 0, -1):
@@ -98,73 +95,72 @@ def i_signature(d: ColoredDiagram, i: int) -> Signature:
     return Signature(tuple(entries))
 
 
-def _apply_remove(d: ColoredDiagram, entry: SignatureEntry) -> ColoredDiagram:
-    rows = list(d.shape.parts)
+def _apply_remove(p: Partition, entry: SignatureEntry) -> Partition:
+    rows = list(p.parts)
     rows[entry.row - 1] -= 1
-    return ColoredDiagram(Partition.from_parts(r for r in rows if r > 0), d.n, 0)
+    return Partition.from_parts(r for r in rows if r > 0)
 
 
-def _apply_add(d: ColoredDiagram, entry: SignatureEntry) -> ColoredDiagram:
-    rows = list(d.shape.parts)
+def _apply_add(p: Partition, entry: SignatureEntry) -> Partition:
+    rows = list(p.parts)
     if entry.row <= len(rows):
         rows[entry.row - 1] += 1
     else:
         rows.append(1)
-    return ColoredDiagram(Partition.from_parts(rows), d.n, 0)
+    return Partition.from_parts(rows)
 
 
-def e_tilde(d: ColoredDiagram, i: int) -> ColoredDiagram | None:
+def e_tilde(p: Partition, n: int, i: int) -> Partition | None:
     """Remove the box of the last surviving minus, or None if there is none."""
-    reduced = i_signature(d, i).reduced()
+    reduced = i_signature(p, n, i).reduced()
     minuses = [e for e in reduced.entries if e.sign == MINUS]
     if not minuses:
         return None
-    return _apply_remove(d, minuses[-1])
+    return _apply_remove(p, minuses[-1])
 
 
-def f_tilde(d: ColoredDiagram, i: int) -> ColoredDiagram | None:
+def f_tilde(p: Partition, n: int, i: int) -> Partition | None:
     """Add a box at the first surviving plus, or None if there is none."""
-    reduced = i_signature(d, i).reduced()
+    reduced = i_signature(p, n, i).reduced()
     pluses = [e for e in reduced.entries if e.sign == PLUS]
     if not pluses:
         return None
-    return _apply_add(d, pluses[0])
+    return _apply_add(p, pluses[0])
 
 
-def epsilon(d: ColoredDiagram, i: int) -> int:
+def epsilon(p: Partition, n: int, i: int) -> int:
     """Number of minus signs in the reduced i-signature."""
-    return sum(1 for e in i_signature(d, i).reduced().entries if e.sign == MINUS)
+    return sum(1 for e in i_signature(p, n, i).reduced().entries if e.sign == MINUS)
 
 
-def phi(d: ColoredDiagram, i: int) -> int:
+def phi(p: Partition, n: int, i: int) -> int:
     """Number of plus signs in the reduced i-signature."""
-    return sum(1 for e in i_signature(d, i).reduced().entries if e.sign == PLUS)
+    return sum(1 for e in i_signature(p, n, i).reduced().entries if e.sign == PLUS)
 
 
-def is_maximal_second_factor(d: ColoredDiagram) -> bool:
+def is_maximal_second_factor(p: Partition, n: int) -> bool:
     """True when epsilon_0 <= 1 and epsilon_i = 0 for every other color.
 
-    This is the condition for (null diagram) (x) d to be killed by every
+    This is the condition for (null diagram) (x) p to be killed by every
     raising operator of the tensor-square crystal.
     """
-    _require_crystal_vertex(d)
-    for i in range(d.n):
-        if epsilon(d, i) > (1 if i == 0 else 0):
+    _require_crystal_vertex(p, n)
+    for i in range(n):
+        if epsilon(p, n, i) > (1 if i == 0 else 0):
             return False
     return True
 
 
-def is_maximal_structural(d: ColoredDiagram) -> bool:
+def is_maximal_structural(p: Partition, n: int) -> bool:
     """Structural reformulation of maximality, used as a cross-check.
 
     Conditions: the first removable column from the right is 0-removable,
     and the m-th admissible column (from the right) has the same color as
     the (m+1)-st removable column whenever the latter exists.
     """
-    _require_crystal_vertex(d)
-    rows = d.shape.parts
+    _require_crystal_vertex(p, n)
+    rows = p.parts
     rows_asc = rows[::-1]
-    n = d.n
     width = rows[0] if rows else 0
     removable_colors: list[int] = []
     admissible_colors: list[int] = []

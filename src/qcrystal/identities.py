@@ -211,17 +211,21 @@ def check_theorem_5_1(max_k: int) -> IdentityReport:
     return _report("theorem5.1", max_k, None)
 
 
-def check_master(n: int, order: int, method: str = "comb") -> IdentityReport:
-    """Product identity for one modulus, generating functions from `method`."""
-    diff = master_discrepancy(n, order, method=method)
-    return _report(f"master[n={n}]", order, diff)
+def check_master(n: int, order: int) -> IdentityReport:
+    """Product identity for one modulus, generating functions from `gf_comb`."""
+    return _report(f"master[n={n}]", order, master_discrepancy(n, order))
 
 
-def check_triple_product(order: int = 200, max_rs: int = 10, euler_order: int = 300) -> IdentityReport:
-    """Sum forms equal product forms over a grid of exponent pairs, plus
-    the pentagonal-number special case against the Euler product."""
-    for r in range(max_rs + 1):
-        for s in range(max_rs + 1):
+TRIPLE_MAX_RS = 10
+TRIPLE_EULER_ORDER = 300
+
+
+def check_triple_product(order: int = 200) -> IdentityReport:
+    """Sum forms equal product forms for every exponent pair up to
+    TRIPLE_MAX_RS, plus the pentagonal-number special case against the
+    Euler product at TRIPLE_EULER_ORDER."""
+    for r in range(TRIPLE_MAX_RS + 1):
+        for s in range(TRIPLE_MAX_RS + 1):
             if r + s == 0:
                 continue
             for sum_form, product_form in (
@@ -231,8 +235,9 @@ def check_triple_product(order: int = 200, max_rs: int = 10, euler_order: int = 
                 diff = qs.first_difference(sum_form, product_form)
                 if diff is not None:
                     return _report(f"triple-product[r={r},s={s}]", order, diff)
-    diff = qs.first_difference(qs.theta_g(1, 2, euler_order), qs.euler_phi(euler_order))
+    diff = qs.first_difference(
+        qs.theta_g(1, 2, TRIPLE_EULER_ORDER), qs.euler_phi(TRIPLE_EULER_ORDER)
+    )
     if diff is not None:
-        return _report("triple-product[pentagonal]", euler_order, diff)
+        return _report("triple-product[pentagonal]", TRIPLE_EULER_ORDER, diff)
     return _report("triple-product", order, None)
-

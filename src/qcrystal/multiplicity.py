@@ -84,6 +84,8 @@ def multiplicity_table(n: int, max_k: int, witness_cap: int | None = None) -> Mu
     """
     if n < 2 or max_k < 0:
         raise ValueError("need n >= 2 and max_k >= 0")
+    if witness_cap is not None and witness_cap < 0:
+        raise ValueError("witness_cap must be nonnegative")
     found: dict[tuple[int, int], list[Partition]] = {
         (i, k): [] for i in range(n // 2 + 1) for k in range(i, max_k + 1)
     }
@@ -393,29 +395,20 @@ def gf_theta(i: int, n: int, order: int, conjecture: bool = False) -> QSeries:
 
 
 def master_discrepancy(
-    n: int,
-    order: int,
-    series: list[QSeries] | None = None,
-    method: str = "comb",
-    conjecture: bool = False,
+    n: int, order: int, series: list[QSeries] | None = None
 ) -> tuple[int, int, int] | None:
     """First failing exponent of the product identity, or None if it holds.
 
     The identity equates the stride-n Euler product with the sum over
     components of the master coefficient times the generating function
-    evaluated at q^n.  Generating functions come from `method` unless an
+    evaluated at q^n.  Generating functions come from `gf_comb` unless an
     explicit list is supplied.
     """
     if n < 2 or order < 1:
         raise ValueError("need n >= 2 and order >= 1")
     if series is None:
         sub_order = -(-order // n)
-        if method == "comb":
-            series = [gf_comb(i, n, sub_order) for i in range(n // 2 + 1)]
-        elif method == "theta":
-            series = [gf_theta(i, n, sub_order, conjecture) for i in range(n // 2 + 1)]
-        else:
-            raise ValueError("method must be 'comb' or 'theta'")
+        series = [gf_comb(i, n, sub_order) for i in range(n // 2 + 1)]
     if len(series) != n // 2 + 1:
         raise ValueError("one generating function per component index is required")
     lhs = qs.euler_phi(order, stride=n)

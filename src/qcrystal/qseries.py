@@ -122,9 +122,9 @@ class QSeries:
             return 0
         return self.coeffs[exponent - self.lowest]
 
-    def coefficient_list(self, start: int = 0) -> list[int]:
-        """Dense coefficients for exponents start..order-1."""
-        return [self.coeff(e) for e in range(start, self.order)]
+    def coefficient_list(self) -> list[int]:
+        """Dense coefficients for exponents 0..order-1."""
+        return [self.coeff(e) for e in range(self.order)]
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -9,7 +9,7 @@ never leaks out of this module.
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .young import ColoredDiagram, Partition, color_counts, is_maximal_shape
+from .young import Partition, color_counts, is_maximal_shape
 
 __all__ = [
     "WeightVector",
@@ -89,14 +89,13 @@ def simple_root(i: int, n: int) -> WeightVector:
     return WeightVector(tuple(lam), 1 if i == 0 else 0)
 
 
-def weight_of(d: ColoredDiagram) -> WeightVector:
+def weight_of(p: Partition, n: int) -> WeightVector:
     """L_0 minus one simple root per cell, grouped by cell color."""
-    if d.charge != 0:
-        raise ValueError("weights are defined for charge-0 diagrams")
-    w = fundamental_weight(0, d.n)
-    for t, count in enumerate(color_counts(d)):
+    counts = color_counts(p, n)  # rejects n < 2 before it indexes anything
+    w = fundamental_weight(0, n)
+    for t, count in enumerate(counts):
         if count:
-            w = w - count * simple_root(t, d.n)
+            w = w - count * simple_root(t, n)
     return w
 
 
@@ -112,7 +111,7 @@ def classify_maximal(p: Partition, n: int) -> ComponentLabel:
     """
     if not is_maximal_shape(p, n):
         raise ValueError(f"{p} is not a chain-family member for n={n}")
-    counts = color_counts(ColoredDiagram(p, n, 0))
+    counts = color_counts(p, n)
     lam = [0] * n
     lam[0] = 2
     delta = -counts[0]  # alpha_0 is the only simple root carrying delta

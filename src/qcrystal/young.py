@@ -1,9 +1,9 @@
 """Partitions, colored Young diagrams, and congruence-constrained shapes.
 
 Diagrams use English convention: row 1 on top, column 1 at the left, row
-lengths weakly decreasing downward.  The cell in row r, column c of a
-diagram of charge t carries color (c - r + t) mod n; colors increase left
-to right along a row and decrease down a column.
+lengths weakly decreasing downward.  The cell in row r, column c carries
+color (c - r) mod n; colors increase left to right along a row and
+decrease down a column.
 """
 
 from dataclasses import dataclass
@@ -11,7 +11,6 @@ from math import isqrt
 
 __all__ = [
     "Partition",
-    "ColoredDiagram",
     "EMPTY",
     "color_of",
     "color_counts",
@@ -67,15 +66,6 @@ class Partition:
     def num_rows(self) -> int:
         return sum(f for _, f in self.pairs)
 
-    def prefix_row_counts(self) -> tuple[int, ...]:
-        """Partial sums (f1, f1+f2, ...) of the row multiplicities."""
-        out: list[int] = []
-        total = 0
-        for _, f in self.pairs:
-            total += f
-            out.append(total)
-        return tuple(out)
-
     def __str__(self) -> str:
         if not self.pairs:
             return "()"
@@ -86,41 +76,16 @@ class Partition:
 EMPTY = Partition()
 
 
-@dataclass(frozen=True)
-class ColoredDiagram:
-    """A partition shape together with a modulus n and a charge.
-
-    The charge is the color of the (virtual) cell in row 1, column 1.
-    """
-
-    shape: Partition
-    n: int
-    charge: int = 0
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("modulus n must be at least 2")
-        if not 0 <= self.charge < self.n:
-            raise ValueError("charge must be a residue modulo n")
-
-    def rows(self) -> tuple[int, ...]:
-        return self.shape.parts
-
-    @property
-    def boxes(self) -> int:
-        return self.shape.boxes
-
-
-def color_of(row: int, col: int, charge: int, n: int) -> int:
+def color_of(row: int, col: int, n: int) -> int:
     """Color of the cell in the given (1-based) row and column."""
     if row < 1 or col < 1:
         raise ValueError("row and column indices are 1-based")
-    if n < 2 or not 0 <= charge < n:
-        raise ValueError("charge must be a residue modulo n >= 2")
-    return (col - row + charge) % n
+    if n < 2:
+        raise ValueError("modulus n must be at least 2")
+    return (col - row) % n
 
 
-def _add_row(counts: list[int], length: int, row: int, charge: int) -> None:
+def _add_row(counts: list[int], length: int, row: int) -> None:
     """Add the cells of (1-based) row `row`, `length` long, to `counts`."""
     n = len(counts)
     # Row r is a run of `length` consecutive residues starting at
@@ -129,19 +94,21 @@ def _add_row(counts: list[int], length: int, row: int, charge: int) -> None:
     if full:
         for t in range(n):
             counts[t] += full
-    start = (1 - row + charge) % n
+    start = (1 - row) % n
     for off in range(tail):
         counts[(start + off) % n] += 1
 
 
-def color_counts(d: ColoredDiagram) -> tuple[int, ...]:
+def color_counts(p: Partition, n: int) -> tuple[int, ...]:
     """Number of cells of each color, indexed by residue 0..n-1."""
-    counts = [0] * d.n
+    if n < 2:
+        raise ValueError("modulus n must be at least 2")
+    counts = [0] * n
     row = 0
-    for length, mult in d.shape.pairs:
+    for length, mult in p.pairs:
         for _ in range(mult):
             row += 1
-            _add_row(counts, length, row, d.charge)
+            _add_row(counts, length, row)
     return tuple(counts)
 
 
@@ -158,7 +125,7 @@ def is_maximal_shape(p: Partition, n: int) -> bool:
     A partition ((l1,f1),...,(lj,fj)) belongs to the family when every
     f_k < n, f1 = l1 (mod n), and f_k + f_{k+1} + l_k - l_{k+1} = 0
     (mod n) for k < j.  These are exactly the shapes of maximal elements
-    in the tensor square of the charge-0 crystal; the null partition
+    in the tensor square of the crystal; the null partition
     qualifies vacuously.
     """
     if n < 2:
@@ -183,8 +150,8 @@ _shape_tables: dict[int, tuple[_Bucket, ...]] = {}
 
 
 def _shape_table(n: int, boxes: int) -> tuple[_Bucket, ...]:
-    """Chain shapes of every box count up to `boxes`, with their charge-0
-    color counts, one (shapes, counts) pair per box count.
+    """Chain shapes of every box count up to `boxes`, with their color
+    counts, one (shapes, counts) pair per box count.
 
     Every prefix of a chain shape is a chain shape, because the conditions
     bind f1 and consecutive pairs only.  One depth-first search from the
@@ -214,7 +181,7 @@ def _shape_table(n: int, boxes: int) -> tuple[_Bucket, ...]:
             pairs = prefix + ((part, mult),)
             grown = list(vec)
             for row in range(rows + 1, rows + mult + 1):
-                _add_row(grown, part, row, 0)
+                _add_row(grown, part, row)
             grown = tuple(grown)
             grown = vectors.setdefault(grown, grown)
             shapes[total].append(Partition(pairs))
@@ -260,6 +227,6 @@ def enumerate_maximal_shapes(n: int, boxes: int) -> tuple[Partition, ...]:
 
 
 def maximal_shape_color_counts(n: int, boxes: int) -> tuple[tuple[int, ...], ...]:
-    """Charge-0 color counts of `enumerate_maximal_shapes(n, boxes)`, in
+    """Color counts of `enumerate_maximal_shapes(n, boxes)`, in
     the same order; shapes with equal counts share one tuple."""
     return _shape_bucket(n, boxes)[1]

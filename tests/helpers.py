@@ -81,12 +81,12 @@ def series_to_dict(s) -> dict:
     }
 
 
-def colors_by_cell(parts, charge, n):
+def colors_by_cell(parts, n):
     """Tally of cell colors computed cell by cell."""
     counts = [0] * n
     for row, length in enumerate(parts, start=1):
         for col in range(1, length + 1):
-            counts[(col - row + charge) % n] += 1
+            counts[(col - row) % n] += 1
     return tuple(counts)
 
 
@@ -131,7 +131,7 @@ def component_index_by_cells(pairs, n):
     alpha_t = 2 L_t - L_{t-1} - L_{t+1} + [t = 0] delta, must have
     L-part L_i + L_{n-i} for exactly one i in 0..n//2.
     """
-    c = colors_by_cell([part for part, mult in pairs for _ in range(mult)], 0, n)
+    c = colors_by_cell([part for part, mult in pairs for _ in range(mult)], n)
     lam = [2 * (t == 0) - 2 * c[t] + c[t - 1] + c[(t + 1) % n] for t in range(n)]
     (i,) = [t for t in range(n // 2 + 1) if lam[t]]
     assert lam == [(t == i) + (t == (n - i) % n) for t in range(n)]

@@ -27,7 +27,6 @@ from qcrystal.qseries import (
 )
 from qcrystal.weightlat import classify_maximal, closed_form_component_index
 from qcrystal.young import (
-    ColoredDiagram,
     EMPTY,
     Partition,
     enumerate_maximal_shapes,
@@ -93,9 +92,7 @@ def test_criterion_2_oracle_equivalence():
         for parts in partitions_upto(12):
             shape = Partition.from_parts(parts)
             chain = is_maximal_shape(shape, n)
-            crystal = is_n_regular(shape, n) and is_maximal_second_factor(
-                ColoredDiagram(shape, n)
-            )
+            crystal = is_n_regular(shape, n) and is_maximal_second_factor(shape, n)
             checked += 1
             if chain != crystal:
                 mismatches += 1

@@ -159,10 +159,10 @@ class TestMasterCheck:
     def test_reports(self):
         assert check_master(2, 80).holds
         assert check_master(5, 60).holds
-        report = check_master(3, 60, method="theta")
+        report = check_master(3, 60)
         assert report.holds and report.name == "master[n=3]"
 
 
 class TestTripleProductCheck:
     def test_small_grid(self):
-        assert check_triple_product(order=60, max_rs=6, euler_order=80).holds
+        assert check_triple_product(60).holds

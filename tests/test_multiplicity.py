@@ -18,7 +18,7 @@ from qcrystal.multiplicity import (
 )
 from qcrystal.qseries import QSeries, euler_phi, theta_f, theta_g
 from qcrystal.weightlat import classify_maximal
-from qcrystal.young import EMPTY, ColoredDiagram, Partition, color_counts, enumerate_maximal_shapes
+from qcrystal.young import EMPTY, Partition, color_counts, enumerate_maximal_shapes
 
 from helpers import count_distinct_odd, multiplicity_table_by_filter
 
@@ -67,6 +67,10 @@ class TestTable:
         assert len(entry.witnesses) == 2
         assert entry.omitted == 5
 
+    def test_rejects_negative_witness_cap(self):
+        with pytest.raises(ValueError):
+            multiplicity_table(3, 4, witness_cap=-1)
+
     @pytest.mark.parametrize("n, max_k", [(4, 10), (8, 6), (9, 6)])
     @pytest.mark.parametrize("witness_cap", [None, 0, 2])
     def test_matches_per_entry_filter(self, n, max_k, witness_cap):
@@ -90,7 +94,7 @@ class TestTable:
         table = multiplicity_table(2, 40)
         box_counts = {i * i + (k - i) * 2 for i, k in table.entries}
         shapes = [p for boxes in box_counts for p in enumerate_maximal_shapes(2, boxes)]
-        vectors = {color_counts(ColoredDiagram(p, 2, 0)) for p in shapes}
+        vectors = {color_counts(p, 2) for p in shapes}
         assert len(calls) == len(vectors)
         assert 20 * len(calls) < len(shapes)
         assert sum(e.count for e in table.entries.values()) == len(shapes)
@@ -403,7 +407,8 @@ class TestMasterIdentity:
         assert master_discrepancy(4, 60) is None
 
     def test_holds_with_theta_series(self):
-        assert master_discrepancy(3, 120, method="theta") is None
+        series = [gf_theta(i, 3, 40) for i in range(2)]
+        assert master_discrepancy(3, 120, series=series) is None
 
     def test_holds_with_supplied_series(self):
         series = [gf_comb(i, 3, 40) for i in range(2)]

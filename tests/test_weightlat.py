@@ -9,7 +9,7 @@ from qcrystal.weightlat import (
     simple_root,
     weight_of,
 )
-from qcrystal.young import ColoredDiagram, EMPTY, Partition, enumerate_maximal_shapes
+from qcrystal.young import EMPTY, Partition, enumerate_maximal_shapes
 
 from helpers import partitions_upto
 
@@ -43,10 +43,10 @@ class TestWeightVector:
 
 class TestWeightOf:
     def test_null_diagram(self):
-        assert weight_of(ColoredDiagram(EMPTY, 3)) == fundamental_weight(0, 3)
+        assert weight_of(EMPTY, 3) == fundamental_weight(0, 3)
 
     def test_single_box(self):
-        w = weight_of(ColoredDiagram(P(1), 3))
+        w = weight_of(P(1), 3)
         expected = (
             fundamental_weight(1, 3)
             + fundamental_weight(2, 3)
@@ -58,7 +58,7 @@ class TestWeightOf:
     def test_from_color_counts(self):
         # (4,1,1) at n=3 has two boxes of each color, so the weight drops
         # by two null roots.
-        w = weight_of(ColoredDiagram(P(4, 1, 1), 3))
+        w = weight_of(P(4, 1, 1), 3)
         expected = fundamental_weight(0, 3) - 2 * (
             simple_root(0, 3) + simple_root(1, 3) + simple_root(2, 3)
         )
@@ -68,7 +68,14 @@ class TestWeightOf:
     def test_diagram_weights_have_level_one(self):
         for parts in partitions_upto(8):
             for n in (2, 3, 5):
-                assert weight_of(ColoredDiagram(Partition.from_parts(parts), n)).level == 1
+                assert weight_of(Partition.from_parts(parts), n).level == 1
+
+    def test_rejects_modulus_below_two(self):
+        for n in (1, 0, -1):
+            with pytest.raises(ValueError):
+                weight_of(EMPTY, n)
+            with pytest.raises(ValueError):
+                weight_of(P(2, 1), n)
 
 
 class TestClassification:

@@ -3,7 +3,6 @@ import pytest
 from qcrystal import young
 from qcrystal.young import (
     EMPTY,
-    ColoredDiagram,
     Partition,
     color_counts,
     color_of,
@@ -36,8 +35,7 @@ class TestPartition:
         assert p.parts == (7, 1, 1)
         assert p.boxes == 9
         assert p.num_rows == 3
-        assert p.prefix_row_counts() == (1, 3)
-        assert EMPTY.boxes == 0 and EMPTY.prefix_row_counts() == ()
+        assert EMPTY.boxes == 0
 
     def test_invalid_pairs_rejected(self):
         with pytest.raises(ValueError):
@@ -53,43 +51,47 @@ class TestPartition:
 
 
 class TestColorRule:
-    def test_charge_one_worked_diagram(self):
-        # The charge-1 diagram with rows (3, 2) has colors 1,2,0 / 0,1.
-        assert color_of(1, 1, 1, 3) == 1
-        assert color_of(1, 2, 1, 3) == 2
-        assert color_of(1, 3, 1, 3) == 0
-        assert color_of(2, 1, 1, 3) == 0
-        assert color_of(2, 2, 1, 3) == 1
+    def test_worked_diagram(self):
+        # The diagram with rows (3, 2) has colors 0,1,2 / 2,0 for n = 3.
+        assert color_of(1, 1, 3) == 0
+        assert color_of(1, 2, 3) == 1
+        assert color_of(1, 3, 3) == 2
+        assert color_of(2, 1, 3) == 2
+        assert color_of(2, 2, 3) == 0
 
     def test_main_diagonal_charge_zero(self):
         for k in range(1, 9):
             for n in (2, 3, 5):
-                assert color_of(k, k, 0, n) == 0
+                assert color_of(k, k, n) == 0
 
     def test_rejects_bad_indices(self):
         with pytest.raises(ValueError):
-            color_of(0, 1, 0, 3)
-        with pytest.raises(ValueError):
-            color_of(1, 1, 3, 3)
+            color_of(0, 1, 3)
+
+    def test_rejects_modulus_below_two(self):
+        for n in (1, 0, -1):
+            with pytest.raises(ValueError):
+                color_of(1, 1, n)
+            with pytest.raises(ValueError):
+                color_counts(P(2, 1), n)
+            with pytest.raises(ValueError):
+                color_counts(EMPTY, n)
 
     def test_color_counts_against_cell_tally(self):
         for parts in partitions_upto(9):
             for n in (2, 3, 4):
-                for charge in range(n):
-                    d = ColoredDiagram(Partition.from_parts(parts), n, charge)
-                    assert color_counts(d) == colors_by_cell(parts, charge, n)
+                assert color_counts(Partition.from_parts(parts), n) == colors_by_cell(parts, n)
 
     def test_color_counts_examples(self):
-        # Cell-by-cell: (4,1,1) at charge 0, n=3 has rows 0120 / 2 / 1.
-        d = ColoredDiagram(P(4, 1, 1), 3)
-        assert color_counts(d) == (2, 2, 2)
-        assert color_counts(ColoredDiagram(EMPTY, 3)) == (0, 0, 0)
-        assert color_counts(ColoredDiagram(P(1), 3)) == (1, 0, 0)
+        # Cell-by-cell: (4,1,1) at n=3 has rows 0120 / 2 / 1.
+        assert color_counts(P(4, 1, 1), 3) == (2, 2, 2)
+        assert color_counts(EMPTY, 3) == (0, 0, 0)
+        assert color_counts(P(1), 3) == (1, 0, 0)
 
     def test_counts_sum_to_boxes(self):
         for parts in partitions_upto(8):
-            d = ColoredDiagram(Partition.from_parts(parts), 3, 1)
-            assert sum(color_counts(d)) == d.boxes
+            p = Partition.from_parts(parts)
+            assert sum(color_counts(p, 3)) == p.boxes
 
 
 class TestRegularity:
@@ -185,7 +187,7 @@ class TestEnumeration:
                     young._shape_tables.clear()
                 shapes = enumerate_maximal_shapes(n, boxes)
                 carried = maximal_shape_color_counts(n, boxes)
-                expected = [color_counts(ColoredDiagram(p, n, 0)) for p in shapes]
+                expected = [color_counts(p, n) for p in shapes]
                 assert list(carried) == expected, (n, boxes, earlier)
 
     def test_equal_color_counts_share_one_tuple(self):
