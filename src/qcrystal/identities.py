@@ -220,7 +220,7 @@ TRIPLE_MAX_RS = 10
 TRIPLE_EULER_ORDER = 300
 
 
-def check_triple_product(order: int = 200) -> IdentityReport:
+def check_triple_product(order: int) -> IdentityReport:
     """Sum forms equal product forms for every exponent pair up to
     TRIPLE_MAX_RS, plus the pentagonal-number special case against the
     Euler product at TRIPLE_EULER_ORDER."""

@@ -332,55 +332,39 @@ def theta_solution(n: int, order: int, conjecture: bool = False) -> tuple[QSerie
     return _theta_solve(n, order, bool(conjecture))
 
 
-def _determinant_valuation(n: int) -> int:
-    """Power of q dividing the theta-matrix determinant: row j has
-    valuation floor(j^2 / n), and the rows rescaled by those powers have a
-    unimodular constant-term matrix."""
-    return sum(j * j // n for j in range(n // 2 + 1))
-
-
 @functools.lru_cache(maxsize=8)
 def _theta_solve(n: int, order: int, conjecture: bool) -> tuple[QSeries, ...]:
     """Solve the theta-matrix system for every component at once.
 
-    Cramer's rule with exact integer division: B_i is the Euler product
-    times the i-th cofactor along row 0, divided by the determinant.  The
-    determinant carries the power q^v with v = sum of floor(j^2 / n) over
-    the rows (v = 1 for n = 6); that power must also divide every
-    numerator and is cancelled before inverting.  Since v is known in
-    advance, the matrix is built once at order + v, so the quotient is
-    exact to the requested order, and its determinant, inverse and
-    cofactors serve every component; the Euler product comes from
-    `euler_phi`'s cache.  A zero determinant, a valuation above v or a
-    leading coefficient other than +-1 raises `NonUnitDeterminantError`;
-    no n in 2..23, conjectured moduli included, does.
+    Row j of the matrix has valuation floor(j^2 / n), and dividing each
+    row by that power leaves a matrix whose determinant is a unit.  So the
+    matrix is built once at the order of its deepest row, every row is
+    shifted down to the requested order, and Cramer's rule runs on the
+    rescaled system with exact division: B_i is the Euler product times
+    the i-th cofactor along row 0, times the inverse determinant.  Row 0
+    is never rescaled, so the solution is that of the original system.
+    One determinant, one inverse and one row of cofactors serve every
+    component.  A row entry below its row's power of q, or a rescaled
+    determinant without constant term +-1, raises
+    `NonUnitDeterminantError`; no n in 2..41, conjectured moduli
+    included, does.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    headroom = _determinant_valuation(n)
-    matrix = coefficient_matrix(n, order + headroom, conjecture)
-    full_det = qs.det(matrix)
-    if full_det.is_zero or full_det.lowest > headroom:
+    matrix = coefficient_matrix(n, order + (n // 2) ** 2 // n, conjecture)
+    rescaled = []
+    for j, row in enumerate(matrix):
+        power = j * j // n
+        if any(not entry.is_zero and entry.lowest < power for entry in row):
+            raise NonUnitDeterminantError(f"row {j} for n={n} is not divisible by q^{power}")
+        rescaled.append([entry.shift(-power).truncate(order) for entry in row])
+    determinant = qs.det(rescaled)
+    if determinant.is_zero or determinant.lowest != 0 or determinant.coeffs[0] not in (1, -1):
         raise NonUnitDeterminantError(
-            f"determinant for n={n} vanishes beyond q^{headroom}; system is singular"
+            f"rescaled determinant for n={n} is not a unit; cannot divide exactly"
         )
-    if full_det.coeffs[0] not in (1, -1):
-        raise NonUnitDeterminantError(
-            f"determinant for n={n} has leading coefficient other than +-1; "
-            "cannot divide exactly"
-        )
-    valuation = full_det.lowest
-    inverse = full_det.shift(-valuation).invert()
-    phi = qs.euler_phi(order + headroom)
-    solution = []
-    for i, cofactor in enumerate(qs.cofactors(matrix)):
-        numerator = phi * cofactor
-        if not numerator.is_zero and numerator.lowest < valuation:
-            raise NonUnitDeterminantError(
-                f"numerator valuation below determinant valuation for n={n}, i={i}"
-            )
-        solution.append((numerator.shift(-valuation) * inverse).truncate(order))
-    return tuple(solution)
+    scale = qs.euler_phi(order) * determinant.invert()
+    return tuple(scale * cofactor for cofactor in qs.cofactors(rescaled))
 
 
 def gf_theta(i: int, n: int, order: int, conjecture: bool = False) -> QSeries:

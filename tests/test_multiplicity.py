@@ -311,17 +311,20 @@ class TestThetaSeries:
             assert gf_comb(i, 10, 8) == gf_theta(i, 10, 8), i
 
     def test_small_orders_survive_determinant_valuation(self):
-        # At order 1 the n=6 determinant truncates to zero; the solve's
-        # known headroom (its valuation, 1) must still recover the
-        # constant term.
+        # At order 1 the unscaled n=6 determinant (valuation 1) truncates
+        # to zero; the rescaled rows must still recover the constant term.
         assert gf_theta(0, 6, 1).coefficient_list() == [1]
         assert gf_theta(3, 6, 2).coefficient_list() == [1, 1]
 
     def test_proven_moduli_beyond_six_by_six(self):
-        # n = 13, 14, 17 assemble 7x7, 8x8 and 9x9 matrices.
-        for n in (13, 14, 17):
-            for i in range(n // 2 + 1):
-                assert gf_theta(i, n, 40) == gf_comb(i, n, 40), (n, i)
+        # n = 13, 14, 17 assemble 7x7, 8x8 and 9x9 matrices; every proven
+        # modulus up to 41 (a 21x21 matrix) must solve at a low order.
+        cases = [(n, 40) for n in (13, 14, 17)]
+        cases += [(n, 6) for n in range(2, 42) if theta_branch(n)[1]]
+        for n, order in cases:
+            solution = multiplicity.theta_solution(n, order)
+            for i, series in enumerate(solution):
+                assert series == gf_comb(i, n, order), (n, order, i)
 
     def test_components_share_one_solve(self, monkeypatch):
         calls = []
@@ -332,8 +335,8 @@ class TestThetaSeries:
 
         monkeypatch.setattr(multiplicity, "coefficient_matrix", counting)
         multiplicity._theta_solve.cache_clear()
-        # The n = 5 determinant has valuation 0, so the solve needs no
-        # headroom above the requested order.
+        # Every row of the n = 5 matrix has valuation 0, so the solve
+        # builds it at the requested order.
         series = [gf_theta(i, 5, 30) for i in range(3)]
         assert calls == [(5, 30, False)]
         assert series == list(multiplicity.theta_solution(5, 30))
@@ -353,8 +356,8 @@ class TestThetaSeries:
         real_det = qs.det
         monkeypatch.setattr(multiplicity, "coefficient_matrix", counting)
         monkeypatch.setattr(qs, "det", counting_det)
-        # Headroom = sum of floor(j^2 / n) over j <= n / 2.
-        for n, headroom in ((6, 1), (7, 1), (10, 3), (11, 3)):
+        # The deepest row, j = n // 2, has valuation floor(j^2 / n).
+        for n, headroom in ((6, 1), (7, 1), (10, 2), (11, 2)):
             multiplicity._theta_solve.cache_clear()
             calls.clear()
             dets.clear()
@@ -363,21 +366,54 @@ class TestThetaSeries:
             assert dets == [n // 2 + 1], n
             assert all(s.order == 12 for s in series)
 
-    def test_determinant_vanishing_beyond_headroom_is_singular(self, monkeypatch):
-        # Pretend the n = 6 determinant (valuation 1) needs no headroom: at
-        # order 1 it truncates to zero, at order 10 its valuation exceeds 0.
-        monkeypatch.setattr(multiplicity, "_determinant_valuation", lambda n: 0)
+    @staticmethod
+    def _patch_matrix(monkeypatch, edit):
+        """Route the solve through `edit(rows)` applied to the real matrix."""
+
+        def edited(*args, **kwargs):
+            return edit([list(row) for row in coefficient_matrix(*args, **kwargs)])
+
+        monkeypatch.setattr(multiplicity, "coefficient_matrix", edited)
         multiplicity._theta_solve.cache_clear()
+
+    def test_determinant_vanishing_beyond_headroom_is_singular(self, monkeypatch):
+        # Multiply row 0 of the n = 6 matrix by q: the rescaled determinant
+        # then truncates to zero at order 1 and has valuation 1 at order 10.
+        def raise_row_0(rows):
+            rows[0] = [e.shift(1).truncate(e.order) for e in rows[0]]
+            return rows
+
+        self._patch_matrix(monkeypatch, raise_row_0)
         for order in (1, 10):
-            with pytest.raises(NonUnitDeterminantError):
+            with pytest.raises(NonUnitDeterminantError, match="not a unit"):
                 multiplicity.theta_solution(6, order)
 
+    def test_rescaled_determinant_must_be_a_unit(self, monkeypatch):
+        # Doubling row 0 doubles the rescaled determinant's constant term.
+        def double_row_0(rows):
+            rows[0] = [2 * e for e in rows[0]]
+            return rows
+
+        self._patch_matrix(monkeypatch, double_row_0)
+        with pytest.raises(NonUnitDeterminantError, match="not a unit"):
+            multiplicity.theta_solution(6, 10)
+
+    def test_row_below_its_power_of_q_is_rejected(self, monkeypatch):
+        # Row 3 of the n = 6 matrix must be divisible by q^(9 // 6) = q.
+        def lower_row_3(rows):
+            rows[3][0] = rows[3][0] + QSeries.one(rows[3][0].order)
+            return rows
+
+        self._patch_matrix(monkeypatch, lower_row_3)
+        with pytest.raises(NonUnitDeterminantError, match="row 3 .* q\\^1"):
+            multiplicity.theta_solution(6, 10)
+
     def test_proven_modulus_with_deep_determinant_valuation(self):
-        # n = 31 is proven, and its determinant vanishes to order 34.
+        # n = 31 is proven, and its unscaled determinant vanishes to order
+        # 34; row 15 alone carries q^7.
         assert theta_branch(31) == ("odd-prime", True)
-        assert multiplicity._determinant_valuation(31) == 34
-        for i, s in enumerate(multiplicity.theta_solution(31, 3)):
-            assert s == gf_comb(i, 31, 3), i
+        for i, s in enumerate(multiplicity.theta_solution(31, 10)):
+            assert s == gf_comb(i, 31, 10), i
 
     def test_solution_cache_is_bounded(self):
         for n in (2, 3, 5, 7, 11):
