@@ -223,18 +223,24 @@ TRIPLE_EULER_ORDER = 300
 def check_triple_product(order: int) -> IdentityReport:
     """Sum forms equal product forms for every exponent pair up to
     TRIPLE_MAX_RS, plus the pentagonal-number special case against the
-    Euler product at TRIPLE_EULER_ORDER."""
+    Euler product at TRIPLE_EULER_ORDER.
+
+    A product form is symmetric in r and s, so each is built once per
+    unordered pair and compared with the sum forms of both orderings."""
     for r in range(TRIPLE_MAX_RS + 1):
-        for s in range(TRIPLE_MAX_RS + 1):
+        for s in range(r, TRIPLE_MAX_RS + 1):
             if r + s == 0:
                 continue
-            for sum_form, product_form in (
-                (qs.theta_f(r, s, order), qs.triple_product_f(r, s, order)),
-                (qs.theta_g(r, s, order), qs.triple_product_g(r, s, order)),
-            ):
-                diff = qs.first_difference(sum_form, product_form)
-                if diff is not None:
-                    return _report(f"triple-product[r={r},s={s}]", order, diff)
+            product_f = qs.triple_product_f(r, s, order)
+            product_g = qs.triple_product_g(r, s, order)
+            for a, b in ((r, s),) if r == s else ((r, s), (s, r)):
+                for sum_form, product_form in (
+                    (qs.theta_f(a, b, order), product_f),
+                    (qs.theta_g(a, b, order), product_g),
+                ):
+                    diff = qs.first_difference(sum_form, product_form)
+                    if diff is not None:
+                        return _report(f"triple-product[r={a},s={b}]", order, diff)
     diff = qs.first_difference(
         qs.theta_g(1, 2, TRIPLE_EULER_ORDER), qs.euler_phi(TRIPLE_EULER_ORDER)
     )

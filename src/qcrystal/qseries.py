@@ -359,15 +359,34 @@ def euler_phi(order: int, stride: int = 1) -> QSeries:
     return _euler_phi(order, stride)
 
 
+# The stride-1 product at the largest order any request has needed so far.
+_phi_base = QSeries.one(1)
+
+
 @lru_cache(maxsize=8)
 def _euler_phi(order: int, stride: int) -> QSeries:
-    """The product itself, one binomial at a time."""
+    """A truncation of the stride-1 base, substituted q -> q^stride.
+
+    Both steps are exact: factors (1 - q^j) with j >= N are 1 mod q^N, and
+    q -> q^stride is a ring map.  The base grows only when a request needs
+    more of it than any before.
+    """
+    global _phi_base
+    need = -(-order // stride)
+    base = _phi_base
+    if need > base.order:
+        base = _phi_base = _euler_product(need)
+    phi = base.truncate(need)
+    return phi if stride == 1 else phi.expand(stride).truncate(order)
+
+
+def _euler_product(order: int) -> QSeries:
+    """Product of (1 - q^j), one binomial at a time: never through the
+    pentagonal theta series, which the identity checks compare it with."""
     window = [0] * order
     window[0] = 1
-    j = 1
-    while stride * j < order:
-        _mul_binomial_inplace(window, stride * j, -1)
-        j += 1
+    for j in range(1, order):
+        _mul_binomial_inplace(window, j, -1)
     return QSeries._new(0, window, order)
 
 
@@ -429,24 +448,22 @@ def _triple_product(r: int, s: int, order: int, sign: int) -> QSeries:
         raise ValueError("product form needs r + s > 0")
     if order < 1:
         raise ValueError("order must be at least 1")
-    window = [0] * order
-    window[0] = 1
+    t = r + s
+    # The (1 - q^(jt)) family is the Euler product at stride t; the two odd
+    # families (1 + sign q^(jt - r)) and (1 + sign q^(jt - s)) go in here.
+    window = list(_euler_phi(order, t).coeffs)
     j = 1
-    while True:
-        exponents = (j * (r + s), (j - 1) * r + j * s, j * r + (j - 1) * s)
-        signs = (-1, sign, sign)
-        if min(exponents) >= order:
-            break
-        for e, sg in zip(exponents, signs):
+    while j * t - max(r, s) < order:
+        for e in (j * t - r, j * t - s):
             if e >= order:
                 continue
             if e == 0:
-                # Degenerate factor (1 + sg): doubles the series or kills it.
-                if sg == -1:
+                # Degenerate factor (1 + sign): doubles the series or kills it.
+                if sign == -1:
                     return QSeries.zero(order)
                 window = [2 * c for c in window]
             else:
-                _mul_binomial_inplace(window, e, sg)
+                _mul_binomial_inplace(window, e, sign)
         j += 1
     return QSeries._new(0, window, order)
 

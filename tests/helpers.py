@@ -4,7 +4,7 @@ never calls."""
 
 import functools
 
-from qcrystal.qseries import theta_f, theta_g
+from qcrystal.qseries import QSeries, theta_f, theta_g
 
 
 def partitions_of(total, max_part=None):
@@ -169,3 +169,39 @@ def transform_check(r, s, order):
     lhs_g = theta_g(r, s, order)
     rhs_g = -(theta_g(2 * r + s, -r, order - r).shift(r))
     return lhs_g == rhs_g
+
+
+def _times_binomial(window, exponent, sign):
+    """Multiply a dense window (lowest 0) by (1 + sign * q^exponent) in place."""
+    window[exponent:] = [a + sign * b for a, b in zip(window[exponent:], window)]
+
+
+def euler_phi_by_binomials(order, stride=1):
+    """Product of (1 - q^(stride * j)) over j >= 1, each binomial multiplied
+    in at its own stride, with no shared base."""
+    window = [1] + [0] * (order - 1)
+    for e in range(stride, order, stride):
+        _times_binomial(window, e, -1)
+    return QSeries.from_coeffs(window, order)
+
+
+def triple_product_by_families(r, s, order, sign):
+    """Jacobi triple product built from all three factor families,
+    (1 - q^(j(r+s))) (1 + sign q^((j-1)r + js)) (1 + sign q^(jr + (j-1)s))."""
+    window = [1] + [0] * (order - 1)
+    j = 1
+    while True:
+        exponents = (j * (r + s), (j - 1) * r + j * s, j * r + (j - 1) * s)
+        if min(exponents) >= order:
+            break
+        for e, sg in zip(exponents, (-1, sign, sign)):
+            if e >= order:
+                continue
+            if e == 0:
+                if sg == -1:
+                    return QSeries.zero(order)
+                window = [2 * c for c in window]
+            else:
+                _times_binomial(window, e, sg)
+        j += 1
+    return QSeries.from_coeffs(window, order)

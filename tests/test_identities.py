@@ -1,6 +1,6 @@
 import pytest
 
-from qcrystal import identities, multiplicity
+from qcrystal import identities, multiplicity, qseries
 from qcrystal.identities import (
     IdentityReport,
     _mod15_series,
@@ -166,3 +166,36 @@ class TestMasterCheck:
 class TestTripleProductCheck:
     def test_small_grid(self):
         assert check_triple_product(60).holds
+
+    @pytest.mark.parametrize(
+        "family, pair",
+        [("theta_f", (7, 2)), ("theta_f", (2, 7)), ("theta_f", (5, 5)), ("theta_g", (0, 3))],
+    )
+    def test_names_the_ordered_pair_that_fails(self, monkeypatch, family, pair):
+        order = 60
+        true_sum = getattr(qseries, family)
+
+        def perturbed(r, s, order):
+            series = true_sum(r, s, order)
+            return series + QSeries.monomial(1, 4, order) if (r, s) == pair else series
+
+        monkeypatch.setattr(qseries, family, perturbed)
+        report = check_triple_product(order)
+        c4 = true_sum(*pair, order).coeff(4)
+        assert report.name == f"triple-product[r={pair[0]},s={pair[1]}]"
+        assert report.first_discrepancy == (4, c4 + 1, c4)
+
+    def test_builds_each_product_once_per_unordered_pair(self, monkeypatch):
+        built = {"triple_product_f": [], "triple_product_g": []}
+        for name, pairs in built.items():
+            real = getattr(qseries, name)
+
+            def counting(r, s, order, real=real, pairs=pairs):
+                pairs.append((r, s))
+                return real(r, s, order)
+
+            monkeypatch.setattr(qseries, name, counting)
+        assert check_triple_product(60).holds
+        for pairs in built.values():
+            assert len(pairs) == len(set(pairs)) == 65
+            assert all(r <= s for r, s in pairs)

@@ -23,10 +23,12 @@ from qcrystal.qseries import (
 
 from helpers import (
     count_partitions,
+    euler_phi_by_binomials,
     naive_series_mul,
     partitions_of,
     series_to_dict,
     transform_check,
+    triple_product_by_families,
 )
 
 
@@ -302,6 +304,56 @@ class TestEulerProducts:
             euler_phi(order, stride=1 + order % 3)
         assert qseries._euler_phi.cache_info().currsize <= 8
 
+    @pytest.fixture
+    def base_builds(self, monkeypatch):
+        """An empty cache and a stride-1 base of order 1, with every base
+        build recorded by its order."""
+        builds = []
+        real = qseries._euler_product
+
+        def counting(order):
+            builds.append(order)
+            return real(order)
+
+        monkeypatch.setattr(qseries, "_euler_product", counting)
+        monkeypatch.setattr(qseries, "_phi_base", QSeries.one(1))
+        qseries._euler_phi.cache_clear()
+        yield builds
+        qseries._euler_phi.cache_clear()
+
+    @pytest.mark.parametrize("arrangement", ["ascending", "descending", "shuffled"])
+    def test_matches_binomial_oracle_in_any_request_order(self, base_builds, arrangement):
+        requests = [(order, stride) for order in range(1, 81) for stride in range(7, 0, -1)]
+        if arrangement == "descending":
+            requests.reverse()
+        elif arrangement == "shuffled":
+            random.Random(20).shuffle(requests)
+        for order, stride in requests:
+            assert euler_phi(order, stride) == euler_phi_by_binomials(order, stride), (order, stride)
+        # The base only ever grows; a descending run, which asks for the
+        # deepest base first, builds it once and truncates it from then on.
+        assert base_builds == sorted(set(base_builds))
+        if arrangement == "descending":
+            assert base_builds == [80]
+        else:
+            assert len(base_builds) > 1
+
+    def test_catalog_requests_build_one_base(self, base_builds):
+        # The requests one `verify --identity all --order 1200
+        # --master-order 200` run makes, triple-product strides included.
+        requests = (
+            [(1200, 1), (1200, 2)]
+            + [(200, n) for n in range(2, 8)]
+            + [(300, 1)]
+            + [(200, r + s) for r in range(11) for s in range(r, 11) if r + s]
+        )
+        for order, stride in requests:
+            assert euler_phi(order, stride) == euler_phi_by_binomials(order, stride), (order, stride)
+        assert base_builds == [1200]
+        kept = [name for name, value in vars(qseries).items() if isinstance(value, QSeries)]
+        assert kept == ["_phi_base"] and qseries._phi_base.order == 1200
+        assert qseries._euler_phi.cache_info().currsize <= 8
+
 
 class TestTheta:
     def test_pentagonal_equivalence(self):
@@ -344,6 +396,17 @@ class TestTripleProduct:
     def test_degenerate_factor(self):
         assert triple_product_g(0, 15, 80) == theta_g(0, 15, 80)
         assert triple_product_f(0, 4, 80) == theta_f(0, 4, 80)
+
+    @pytest.mark.parametrize("order", [1, 2, 37, 200])
+    def test_matches_three_family_oracle(self, order):
+        # r = 0 or s = 0 covers both degenerate cases: the g form vanishes,
+        # the f form doubles.
+        for r in range(13):
+            for s in range(13):
+                if r + s == 0:
+                    continue
+                assert triple_product_f(r, s, order) == triple_product_by_families(r, s, order, +1), (r, s)
+                assert triple_product_g(r, s, order) == triple_product_by_families(r, s, order, -1), (r, s)
 
     def test_rejects_negative_exponents(self):
         with pytest.raises(ValueError):
