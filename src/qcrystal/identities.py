@@ -8,6 +8,7 @@ named after their CLI identifiers; the README lists the statements.
 
 import functools
 from dataclasses import dataclass
+from operator import add
 
 from . import qseries as qs
 from .multiplicity import (
@@ -69,10 +70,8 @@ def distinct_odd_sum_form(i: int, order: int) -> QSeries:
             break
         while k_done < 2 * m + i:
             k_done += 1
-            for x in range(k_done, order):
-                inv[x] += inv[x - k_done]
-        for t in range(order - exponent):
-            acc[exponent + t] += inv[t]
+            qs._div_binomial_inplace(inv, k_done)
+        acc[exponent:] = map(add, acc[exponent:], inv)
         m += 1
     return QSeries.from_coeffs(acc, order)
 
@@ -86,11 +85,16 @@ def _two_core_pieces(order: int):
 
 
 def check_lemma_5_1(order: int) -> IdentityReport:
-    """Sum forms equal the theta quotients for modulus 2."""
+    """Sum forms equal the theta quotients for modulus 2, checked with the
+    denominator cleared: S_i * D == phi * theta_i.
+
+    D has constant term 1, so at the same truncation this is equivalent to
+    S_i == phi * theta_i / D, and the first failing exponent and the gap
+    there are the same; the reported values are those of S_i * D and
+    phi * theta_i."""
     phi, f53, f17, disc = _two_core_pieces(order)
-    disc_inv = disc.invert()
     for i, numer in ((0, f53), (1, f17)):
-        diff = qs.first_difference(distinct_odd_sum_form(i, order), phi * numer * disc_inv)
+        diff = qs.first_difference(distinct_odd_sum_form(i, order) * disc, phi * numer)
         if diff is not None:
             return _report(f"lemma5.1[i={i}]", order, diff)
     return _report("lemma5.1", order, None)

@@ -22,6 +22,7 @@ the result accordingly instead of fabricating those coefficients.
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import accumulate
 from math import isqrt
 from operator import add, neg, sub
 
@@ -346,6 +347,23 @@ def _mul_binomial_inplace(window: list[int], exponent: int, sign: int) -> None:
         window[exponent:] = map(add if sign > 0 else sub, window[exponent:], window[: len(window) - exponent])
 
 
+def _div_binomial_inplace(window: list[int], exponent: int) -> None:
+    """Multiply a dense window (lowest 0) by 1 / (1 - q^exponent).
+
+    That is w[x] += w[x - exponent] for x ascending.  Either each residue
+    class mod `exponent` becomes its running sum, or each block of
+    `exponent` coefficients adds the block before it; whichever takes
+    fewer slice passes runs.
+    """
+    size = len(window)
+    if exponent * exponent < size:
+        for r in range(exponent):
+            window[r::exponent] = accumulate(window[r::exponent])
+    else:
+        for s in range(exponent, size, exponent):
+            window[s:s + exponent] = map(add, window[s:s + exponent], window[s - exponent:s])
+
+
 def euler_phi(order: int, stride: int = 1) -> QSeries:
     """Product of (1 - q^(stride * j)) over j >= 1, truncated.
 
@@ -381,12 +399,21 @@ def _euler_phi(order: int, stride: int) -> QSeries:
 
 
 def _euler_product(order: int) -> QSeries:
-    """Product of (1 - q^j), one binomial at a time: never through the
-    pentagonal theta series, which the identity checks compare it with."""
+    """Product of the binomials (1 - q^j): never through the pentagonal
+    theta series, which the identity checks compare it with.
+
+    Below half = ceil(order / 2) they go in one at a time.  Any two
+    factors with j >= half multiply to a power of q at or past the order,
+    so together those factors are 1 - sum_{half <= j < order} q^j, which
+    goes in as one prefix-sum pass: coefficient x >= half loses the sum
+    of coefficients 0..x - half.
+    """
     window = [0] * order
     window[0] = 1
-    for j in range(1, order):
+    half = (order + 1) // 2
+    for j in range(1, half):
         _mul_binomial_inplace(window, j, -1)
+    window[half:] = map(sub, window[half:], accumulate(window[: order - half]))
     return QSeries._new(0, window, order)
 
 
@@ -401,11 +428,8 @@ def restricted_partition_gf(excluded, modulus: int, order: int) -> QSeries:
     window = [0] * order
     window[0] = 1
     for j in range(1, order):
-        if j % modulus in banned:
-            continue
-        # multiply by 1 / (1 - q^j)
-        for x in range(j, order):
-            window[x] += window[x - j]
+        if j % modulus not in banned:
+            _div_binomial_inplace(window, j)
     return QSeries._new(0, window, order)
 
 

@@ -205,3 +205,35 @@ def triple_product_by_families(r, s, order, sign):
                 _times_binomial(window, e, sg)
         j += 1
     return QSeries.from_coeffs(window, order)
+
+
+def restricted_partition_gf_by_loops(excluded, modulus, order):
+    """Partitions avoiding the excluded residues mod `modulus`, dividing
+    by each allowed (1 - q^j) one coefficient at a time."""
+    banned = {r % modulus for r in excluded}
+    window = [1] + [0] * (order - 1)
+    for j in range(1, order):
+        if j % modulus in banned:
+            continue
+        for x in range(j, order):
+            window[x] += window[x - j]
+    return QSeries.from_coeffs(window, order)
+
+
+def distinct_odd_sum_form_by_loops(i, order):
+    """Sum over m of q^(2m^2 + 2im) / prod_{k=1}^{2m+i} (1 - q^k), keeping
+    the running inverse one coefficient at a time."""
+    acc = [0] * order
+    inv = [1] + [0] * (order - 1)
+    k_done = 0
+    m = 0
+    while 2 * m * m + 2 * i * m < order:
+        exponent = 2 * m * m + 2 * i * m
+        while k_done < 2 * m + i:
+            k_done += 1
+            for x in range(k_done, order):
+                inv[x] += inv[x - k_done]
+        for t in range(order - exponent):
+            acc[exponent + t] += inv[t]
+        m += 1
+    return QSeries.from_coeffs(acc, order)

@@ -17,7 +17,7 @@ from qcrystal.identities import (
 from qcrystal.multiplicity import gf_comb
 from qcrystal.qseries import QSeries, euler_phi, first_difference, theta_f
 
-from helpers import count_distinct_odd, count_partitions
+from helpers import count_distinct_odd, count_partitions, distinct_odd_sum_form_by_loops
 
 
 class TestReport:
@@ -45,6 +45,10 @@ class TestSumForms:
     def test_rejects_bad_component(self):
         with pytest.raises(ValueError):
             distinct_odd_sum_form(2, 10)
+
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_matches_coefficient_loops_at_high_order(self, i):
+        assert distinct_odd_sum_form(i, 1200) == distinct_odd_sum_form_by_loops(i, 1200)
 
 
 class TestSeriesChecks:
@@ -79,6 +83,29 @@ class TestSeriesChecks:
         rhs = euler_phi(order) + QSeries.monomial(3, 11, order)
         diff = first_difference(lhs, rhs)
         assert diff == (11, lhs.coeff(11), lhs.coeff(11) + 3)
+
+    @pytest.mark.parametrize("i", [0, 1])
+    @pytest.mark.parametrize("e", [0, 1, 37, 149])  # 149: the last exponent at order 150
+    def test_cleared_lemma_5_1_reports_a_perturbed_sum_form_where_it_breaks(
+        self, monkeypatch, i, e
+    ):
+        # The check compares S_i * D with phi * theta_i.  D has constant
+        # term 1, so adding q^e to S_i moves S_i * D first at e, by 1.
+        order = 150
+        real = identities.distinct_odd_sum_form
+
+        def perturbed(component, at_order):
+            series = real(component, at_order)
+            if component == i:
+                series = series + QSeries.monomial(1, e, at_order)
+            return series
+
+        monkeypatch.setattr(identities, "distinct_odd_sum_form", perturbed)
+        report = check_lemma_5_1(order)
+        assert report.name == f"lemma5.1[i={i}]"
+        exponent, lhs, rhs = report.first_discrepancy
+        assert exponent == e
+        assert lhs - rhs == 1
 
 
 class TestCountingIdentities:

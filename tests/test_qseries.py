@@ -26,6 +26,7 @@ from helpers import (
     euler_phi_by_binomials,
     naive_series_mul,
     partitions_of,
+    restricted_partition_gf_by_loops,
     series_to_dict,
     transform_check,
     triple_product_by_families,
@@ -353,6 +354,47 @@ class TestEulerProducts:
         kept = [name for name, value in vars(qseries).items() if isinstance(value, QSeries)]
         assert kept == ["_phi_base"] and qseries._phi_base.order == 1200
         assert qseries._euler_phi.cache_info().currsize <= 8
+
+    def test_folded_product_matches_binomial_oracle_at_every_order(self):
+        # Orders of both parities, each with its own fold point ceil(N/2).
+        # A truncation of the order-400 oracle is the order-N product,
+        # since factors (1 - q^j) with j >= N are 1 mod q^N.
+        oracle = euler_phi_by_binomials(400)
+        for order in range(1, 401):
+            assert qseries._euler_product(order) == oracle.truncate(order), order
+
+    def test_product_never_reads_theta_series(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the Euler product must not use theta series")
+
+        for attr in ("_theta", "theta_f", "theta_g"):
+            monkeypatch.setattr(qseries, attr, forbidden)
+        assert qseries._euler_product(500) == euler_phi_by_binomials(500)
+
+
+class TestDivideBinomial:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=200),
+        st.integers(1, 250),
+    )
+    @example([3, -1, 4], 1)
+    @example([2] * 200, 14)  # 14^2 < 200: residue-class pass
+    @example([2] * 200, 15)  # 15^2 >= 200: block pass
+    @example([5, 7], 2)  # exponent >= length leaves the window alone
+    def test_matches_coefficient_loop(self, window, exponent):
+        want = list(window)
+        for x in range(exponent, len(want)):
+            want[x] += want[x - exponent]
+        got = list(window)
+        qseries._div_binomial_inplace(got, exponent)
+        assert got == want
+
+    def test_restricted_partitions_match_loops_at_high_order(self):
+        excluded = {0, 7, 8}
+        assert restricted_partition_gf(excluded, 15, 3001) == restricted_partition_gf_by_loops(
+            excluded, 15, 3001
+        )
 
 
 class TestTheta:
