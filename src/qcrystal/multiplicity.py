@@ -108,54 +108,54 @@ def multiplicity_table(n: int, max_k: int, witness_cap: int | None = None) -> Mu
     return MultiplicityTable(n, max_k, entries)
 
 
+_partitions = [1]  # p(0), p(1), ... as far as any table has needed
+
+
 def _partition_number(m: int) -> int:
     """Exact p(m) from Euler's pentagonal-number recurrence."""
-    p = [1] + [0] * m
-    for k in range(1, m + 1):
-        total = 0
-        j = 1
-        while True:
-            g = j * (3 * j - 1) // 2
-            if g > k:
-                break
+    p = _partitions
+    for k in range(len(p), m + 1):
+        total, j, g = 0, 1, 1
+        while g <= k:
             term = p[k - g] + (p[k - g - j] if g + j <= k else 0)
             total += term if j % 2 else -term
             j += 1
-        p[k] = total
+            g = j * (3 * j - 1) // 2
+        p.append(total)
     return p[m]
 
 
 def _count_table(n: int, boxes: int) -> tuple[tuple[int, ...], ...]:
     """Chain-shape counts for every box count up to `boxes`, per component.
 
-    Parts are taken largest first.  A state (c, r) records c = (last part
-    + its multiplicity) mod n and r = rows so far mod n; the congruence
-    chain forces the next part p to carry multiplicity (p - c) mod n, so
-    each state only needs its generating function in q.  That polynomial
-    is packed into one int, one slot of `width` bits per box count, and
-    every transition is one shift-add.  A slot counts distinct partitions
-    of its box count, so p(boxes) plus a spare top bit bounds it.
+    Parts are taken largest first; the state is r = rows so far mod n.  Part
+    p gets multiplicity f = (p - c) mod n, c = last part + its multiplicity,
+    and f rows of p keep c - 2r and boxes - r^2 fixed mod n (both start at
+    0).  So f = (p - 2r) mod n, and state r packs one `width`-bit slot per
+    box count r^2 mod n + s*n into an int; a transition is one shift-add.
+    p(boxes) plus a spare top bit bounds every slot.  State r ends in
+    component min(r, n - r), which shares its residue class.
     """
     width = _partition_number(boxes).bit_length() + 1
-    slots = boxes + 1
-    states: dict[tuple[int, int], int] = {(0, 0): 1}
+    base = [r * r % n for r in range(n)]
+    slots = [(boxes - b) // n + 1 for b in base]
+    states = [1] + [0] * (n - 1)
     for part in range(boxes, 0, -1):
-        moves = []
-        for (c, r), poly in states.items():
-            mult = (part - c) % n
-            cost = part * mult
-            if mult == 0 or cost > boxes:
-                continue
-            kept = poly & ((1 << ((slots - cost) * width)) - 1)
-            moves.append((((part + mult) % n, (r + mult) % n), kept << (cost * width)))
-        for key, poly in moves:
-            states[key] = states.get(key, 0) + poly
-    # The component index is a function of the final state; the empty
-    # shape never leaves (0, 0), which is component 0.
-    packed = [0] * (n // 2 + 1)
-    for (c, r), poly in states.items():
-        packed[min((c - r) % n, (-r) % n)] += poly
-    return tuple(_unpack(poly, width, slots) for poly in packed)
+        for r, poly in enumerate(states[:]):  # read before this part's moves
+            mult = (part - 2 * r) % n
+            to = (r + mult) % n
+            room = (slots[to] - (base[r] + part * mult - base[to]) // n) * width
+            if poly and mult and room > 0:
+                if poly.bit_length() > room:
+                    poly &= (1 << room) - 1
+                states[to] += poly << (slots[to] * width - room)
+    for r in range(n // 2 + 1, n):
+        states[n - r] += states[r]
+    columns = [[0] * (boxes + 1) for _ in range(n // 2 + 1)]
+    for i, column in enumerate(columns):
+        if slots[i]:  # a class starting above `boxes` has nothing to unpack
+            column[base[i] :: n] = _unpack(states[i], width, slots[i])
+    return tuple(map(tuple, columns))
 
 
 def _unpack(poly: int, width: int, slots: int) -> tuple[int, ...]:

@@ -125,7 +125,7 @@ class QSeries:
 
     def coefficient_list(self) -> list[int]:
         """Dense coefficients for exponents 0..order-1."""
-        return [self.coeff(e) for e in range(self.order)]
+        return [0] * (self.order - len(self.coeffs)) + list(self.coeffs[max(0, -self.lowest) :])
 
     def __str__(self) -> str:
         if self.is_zero:

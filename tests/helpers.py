@@ -4,6 +4,7 @@ never calls."""
 
 import functools
 
+from qcrystal.multiplicity import _partition_number, _unpack
 from qcrystal.qseries import QSeries, theta_f, theta_g
 
 
@@ -152,6 +153,30 @@ def multiplicity_table_by_filter(n, max_k, witness_cap=None):
             kept = witnesses if witness_cap is None else witnesses[:witness_cap]
             out[(i, k)] = (len(witnesses), tuple(kept), len(witnesses) - len(kept))
     return out
+
+
+def count_table_by_pair_states(n, boxes):
+    """Per-component chain-shape counts for every box count up to `boxes`,
+    from a DP keyed by (c, r) = ((last part + its multiplicity) mod n,
+    rows mod n) with one packed slot per box count in every state."""
+    width = _partition_number(boxes).bit_length() + 1
+    slots = boxes + 1
+    states = {(0, 0): 1}
+    for part in range(boxes, 0, -1):
+        moves = []
+        for (c, r), poly in states.items():
+            mult = (part - c) % n
+            cost = part * mult
+            if mult == 0 or cost > boxes:
+                continue
+            kept = poly & ((1 << ((slots - cost) * width)) - 1)
+            moves.append((((part + mult) % n, (r + mult) % n), kept << (cost * width)))
+        for key, poly in moves:
+            states[key] = states.get(key, 0) + poly
+    packed = [0] * (n // 2 + 1)
+    for (c, r), poly in states.items():
+        packed[min((c - r) % n, (-r) % n)] += poly
+    return tuple(_unpack(poly, width, slots) for poly in packed)
 
 
 def transform_check(r, s, order):

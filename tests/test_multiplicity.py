@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcrystal import multiplicity, qseries as qs
 from qcrystal.multiplicity import (
@@ -20,7 +21,7 @@ from qcrystal.qseries import QSeries, euler_phi, theta_f, theta_g
 from qcrystal.weightlat import classify_maximal
 from qcrystal.young import EMPTY, Partition, color_counts, enumerate_maximal_shapes
 
-from helpers import count_distinct_odd, multiplicity_table_by_filter
+from helpers import count_distinct_odd, count_table_by_pair_states, multiplicity_table_by_filter
 
 # Known decomposition table for n=3: multiplicities and witness shapes.
 TABLE_N3_I0 = {
@@ -117,6 +118,41 @@ class TestCounting:
                     by_class[classify_maximal(m, n).i] += 1
                 assert list(count_by_component(n, boxes)) == by_class, (n, boxes)
                 assert count_maximal_shapes(n, boxes) == len(members)
+
+    def test_matches_pair_keyed_oracle_at_every_bound(self):
+        # Each bound truncates every residue class at a different slot.
+        for n in range(2, 17):
+            for boxes in range(121):
+                assert multiplicity._count_table(n, boxes) == count_table_by_pair_states(n, boxes), (n, boxes)
+
+    @pytest.mark.parametrize("n, boxes", [(2, 2000), (3, 1500)])
+    def test_matches_pair_keyed_oracle_at_scale(self, n, boxes):
+        assert multiplicity._count_table(n, boxes) == count_table_by_pair_states(n, boxes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 12), st.integers(0, 30))
+    def test_chain_shapes_keep_the_residue_invariants(self, n, boxes):
+        for p in enumerate_maximal_shapes(n, boxes):
+            rows = sum(f for _, f in p.pairs)
+            c = sum(p.pairs[-1]) if p.pairs else 0
+            assert (c - 2 * rows) % n == 0, (n, p)
+            assert (boxes - rows * rows) % n == 0, (n, p)
+
+    def test_counts_vanish_outside_the_component_residue(self):
+        for n in range(2, 17):
+            for boxes in range(80):
+                for i, count in enumerate(count_by_component(n, boxes)):
+                    if (boxes - i * i) % n:
+                        assert count == 0, (n, boxes, i)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 12])
+    def test_bounds_below_a_state_residue(self, n):
+        # For n >= 3, some component's first box count i^2 mod n exceeds
+        # these bounds, so its residue class has no slot at all.
+        assert multiplicity._count_table(n, 0) == ((1,),) + ((0,),) * (n // 2)
+        assert multiplicity._count_table(n, 1) == ((1, 0), (0, 1)) + ((0, 0),) * (n // 2 - 1)
+        for boxes in (0, 1, 2):
+            assert multiplicity._count_table(n, boxes) == count_table_by_pair_states(n, boxes)
 
     def test_negative_boxes(self):
         assert count_maximal_shapes(3, -2) == 0

@@ -262,6 +262,18 @@ class TestSubstitutionProperties:
         assert s.expand(k).contract(k) == s
 
 
+class TestCoefficientList:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40).flatmap(series))
+    @example(QSeries.zero(7))
+    @example(QSeries.zero(0))
+    @example(QSeries.from_coeffs([5, 0, -2**70], 1, lowest=-2))
+    @example(QSeries.from_coeffs([5, 0, -2**70], 0, lowest=-3))
+    @example(QSeries.from_coeffs([5, 0], -1, lowest=-3))
+    def test_matches_coefficient_at_each_exponent(self, s):
+        assert s.coefficient_list() == [s.coeff(e) for e in range(s.order)]
+
+
 class TestSubstitutions:
     def test_expand_contract_roundtrip(self):
         rng = random.Random(5)
