@@ -76,6 +76,9 @@ def distinct_odd_sum_form(i: int, order: int) -> QSeries:
     return QSeries.from_coeffs(acc, order)
 
 
+# Lemmas 5.1 and 5.2 ask for the same order in one catalog run; the pieces
+# are immutable, so they are shared.
+@functools.lru_cache(maxsize=1)
 def _two_core_pieces(order: int):
     phi = qs.euler_phi(order)
     f53 = qs.theta_f(5, 3, order)

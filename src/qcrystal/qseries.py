@@ -341,12 +341,6 @@ def first_difference(a: QSeries, b: QSeries) -> tuple[int, int, int] | None:
 # -- product constructors ------------------------------------------------
 
 
-def _mul_binomial_inplace(window: list[int], exponent: int, sign: int) -> None:
-    """Multiply a dense window (lowest 0) by (1 + sign * q^exponent), sign +-1."""
-    if exponent < len(window):
-        window[exponent:] = map(add if sign > 0 else sub, window[exponent:], window[: len(window) - exponent])
-
-
 def _div_binomial_inplace(window: list[int], exponent: int) -> None:
     """Multiply a dense window (lowest 0) by 1 / (1 - q^exponent).
 
@@ -400,21 +394,67 @@ def _euler_phi(order: int, stride: int) -> QSeries:
 
 def _euler_product(order: int) -> QSeries:
     """Product of the binomials (1 - q^j): never through the pentagonal
-    theta series, which the identity checks compare it with.
-
-    Below half = ceil(order / 2) they go in one at a time.  Any two
-    factors with j >= half multiply to a power of q at or past the order,
-    so together those factors are 1 - sum_{half <= j < order} q^j, which
-    goes in as one prefix-sum pass: coefficient x >= half loses the sum
-    of coefficients 0..x - half.
-    """
+    theta series, which the identity checks compare it with."""
     window = [0] * order
     window[0] = 1
-    half = (order + 1) // 2
-    for j in range(1, half):
-        _mul_binomial_inplace(window, j, -1)
-    window[half:] = map(sub, window[half:], accumulate(window[: order - half]))
+    _binomial_product_inplace(window, (1,), 1, -1)
     return QSeries._new(0, window, order)
+
+
+def _fold_depth(size: int, progressions: int, step: int) -> int:
+    """M for `_binomial_product_inplace`: 1 below length 300, else about
+    0.65 (size / spacing)^(1/3)."""
+    if size < 300:
+        return 1
+    return max(1, round(0.65 * (size * progressions / step) ** (1 / 3)))
+
+
+def _binomial_product_inplace(window: list[int], starts, step: int, sign: int, power: int = 1) -> None:
+    """Multiply a dense window (lowest 0) by prod (1 + sign q^e)^power,
+    sign and power +-1, over e = start + j * step for each start >= 1.
+
+    With N the window length and a = ceil(N / (M + 1)), factors with e < a
+    go in one at a time.  Any M + 1 factors with e >= a multiply past q^N,
+    so those go in together as F_0 + ... + F_M, F_i the part of degree i
+    in the q^e.  Newton's identities give W_i = window * F_i from
+        i W_i = sum_{k=1..i} c_k (W_{i-k} * P_k),  c_k = power (-1)^(k-1) sign^k,
+    and W * P_k, P_k = sum q^(k e), is a stride-(k step) running sum of W
+    shifted by k times each progression's first exponent >= a.  W_i
+    vanishes below i a and is kept from there on.  M ~ (N / spacing)^(1/3),
+    spacing the mean gap between exponents, balances the a single passes
+    against the M (M + 1) / 2 running sums.
+    """
+    size = len(window)
+    depth = _fold_depth(size, len(starts), step)
+    a = -(-size // (depth + 1))  # at most size
+    firsts = []
+    for e in starts:
+        while e < a:
+            # times (1 + sign q^e); 1 / (1 + q^e) is (1 - q^e) / (1 - q^2e)
+            if power > 0 or sign > 0:
+                window[e:] = map(add if power + sign > 0 else sub, window[e:], window[: size - e])
+            if power < 0:
+                _div_binomial_inplace(window, e if sign < 0 else 2 * e)
+            e += step
+        firsts.append(e)
+    nearest = min(firsts, default=size)
+    folded = [window]  # folded[i] is W_i from exponent i * a on
+    for i in range(1, depth + 1):
+        lo = i * a
+        acc = [0] * (size - lo)
+        for k in range(1, i + 1):
+            base = (i - k) * a
+            run = folded[i - k][: max(0, size - base - k * nearest)]
+            _div_binomial_inplace(run, k * step)
+            op = add if power * (-sign) ** (k - 1) * sign > 0 else sub
+            for e in firsts:
+                at = base + k * e - lo
+                acc[at:] = map(op, acc[at:], run)
+        if any(map(i.__rmod__, acc)):
+            raise ArithmeticError(f"power-sum round {i} is not divisible by {i}")
+        folded.append(list(map(i.__rfloordiv__, acc)))
+    for i, w in enumerate(folded[1:], start=1):
+        window[i * a:] = map(add, window[i * a:], w)
 
 
 def restricted_partition_gf(excluded, modulus: int, order: int) -> QSeries:
@@ -427,9 +467,8 @@ def restricted_partition_gf(excluded, modulus: int, order: int) -> QSeries:
     banned = {r % modulus for r in excluded}
     window = [0] * order
     window[0] = 1
-    for j in range(1, order):
-        if j % modulus not in banned:
-            _div_binomial_inplace(window, j)
+    starts = [r or modulus for r in range(modulus) if r not in banned]
+    _binomial_product_inplace(window, starts, modulus, -1, -1)
     return QSeries._new(0, window, order)
 
 
@@ -476,19 +515,14 @@ def _triple_product(r: int, s: int, order: int, sign: int) -> QSeries:
     # The (1 - q^(jt)) family is the Euler product at stride t; the two odd
     # families (1 + sign q^(jt - r)) and (1 + sign q^(jt - s)) go in here.
     window = list(_euler_phi(order, t).coeffs)
-    j = 1
-    while j * t - max(r, s) < order:
-        for e in (j * t - r, j * t - s):
-            if e >= order:
-                continue
-            if e == 0:
-                # Degenerate factor (1 + sign): doubles the series or kills it.
-                if sign == -1:
-                    return QSeries.zero(order)
-                window = [2 * c for c in window]
-            else:
-                _mul_binomial_inplace(window, e, sign)
-        j += 1
+    starts = [t - r, t - s]
+    if 0 in starts:
+        # Degenerate factor (1 + sign): doubles the series or kills it.
+        if sign == -1:
+            return QSeries.zero(order)
+        window = [2 * c for c in window]
+        starts = [t, t]
+    _binomial_product_inplace(window, starts, t, sign)
     return QSeries._new(0, window, order)
 
 

@@ -201,6 +201,23 @@ def _times_binomial(window, exponent, sign):
     window[exponent:] = [a + sign * b for a, b in zip(window[exponent:], window)]
 
 
+def binomial_product_by_factors(window, starts, step, sign, power):
+    """A dense window times prod (1 + sign q^e)^power over every
+    e = start + j * step below its length, one factor at a time: a
+    multiply is one shifted add, a divide runs w[x] -= sign * w[x - e] up
+    the window one coefficient at a time."""
+    window = list(window)
+    size = len(window)
+    for start in starts:
+        for e in range(start, size, step):
+            if power > 0:
+                _times_binomial(window, e, sign)
+            else:
+                for x in range(e, size):
+                    window[x] -= sign * window[x - e]
+    return window
+
+
 def euler_phi_by_binomials(order, stride=1):
     """Product of (1 - q^(stride * j)) over j >= 1, each binomial multiplied
     in at its own stride, with no shared base."""

@@ -66,6 +66,12 @@ class TestSeriesChecks:
     def test_holds_at_order_one(self, check):
         assert check(1).holds
 
+    def test_lemmas_5_1_and_5_2_share_one_build_of_their_pieces(self):
+        identities._two_core_pieces.cache_clear()
+        assert check_lemma_5_1(120).holds and check_lemma_5_2(120).holds
+        info = identities._two_core_pieces.cache_info()
+        assert (info.misses, info.hits, info.maxsize) == (1, 1, 1)
+
     def test_sign_flip_fails_at_exponent_one(self):
         # Flipping the subtraction in the theta-square difference moves the
         # q^1 coefficient by twice the square's value there.

@@ -22,6 +22,7 @@ from qcrystal.qseries import (
 )
 
 from helpers import (
+    binomial_product_by_factors,
     count_partitions,
     euler_phi_by_binomials,
     naive_series_mul,
@@ -375,13 +376,76 @@ class TestEulerProducts:
         for order in range(1, 401):
             assert qseries._euler_product(order) == oracle.truncate(order), order
 
+    def test_folded_product_matches_binomial_oracle_at_high_order(self):
+        # Fold depth 9 at this order: the 299 factors below a = 300 go in
+        # one at a time, the rest through nine power-sum rounds.
+        assert qseries._fold_depth(3000, 1, 1) == 9
+        assert qseries._euler_product(3000) == euler_phi_by_binomials(3000)
+
     def test_product_never_reads_theta_series(self, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("the Euler product must not use theta series")
+            raise AssertionError("product forms must not use theta series")
 
         for attr in ("_theta", "theta_f", "theta_g"):
             monkeypatch.setattr(qseries, attr, forbidden)
         assert qseries._euler_product(500) == euler_phi_by_binomials(500)
+        for r, s in ((1, 2), (3, 5), (0, 4)):
+            assert triple_product_f(r, s, 500) == triple_product_by_families(r, s, 500, +1), (r, s)
+            assert triple_product_g(r, s, 500) == triple_product_by_families(r, s, 500, -1), (r, s)
+
+
+@st.composite
+def binomial_products(draw):
+    """A window, progressions sharing one step, a sign and a power for
+    `_binomial_product_inplace`.  Starts may repeat or lie past the
+    window; the step may exceed it.  The window's coefficients, small and
+    past a machine word, come from a drawn seed, so that examples differ
+    in shape rather than in coefficients."""
+    size = draw(st.integers(1, 600))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    window = [rng.choice((rng.randint(-9, 9), rng.randint(-(2**80), 2**80))) for _ in range(size)]
+    step = draw(st.one_of(st.integers(1, 16), st.integers(size, size + 5)))
+    starts = draw(st.lists(st.integers(1, size + 5), max_size=4))
+    return window, starts, step, draw(st.sampled_from((1, -1))), draw(st.sampled_from((1, -1)))
+
+
+class TestBinomialProduct:
+    @settings(max_examples=150, deadline=None)
+    @given(binomial_products())
+    @example(([1] + [0] * 199, [1], 1, -1, 1))  # factors a - 1 and a would meet below q^N
+    @example(([1] + [0] * 599, [1, 1, 2], 1, -1, 1))  # depth 8
+    @example(([1] + [0] * 299, [300, 7], 7, 1, -1))  # a start at the window length
+    @example(([3, -1] * 200, [5, 5], 400, 1, 1))  # the step is the window length
+    def test_matches_one_factor_at_a_time(self, case):
+        window, starts, step, sign, power = case
+        got = list(window)
+        qseries._binomial_product_inplace(got, starts, step, sign, power)
+        assert got == binomial_product_by_factors(window, starts, step, sign, power)
+
+    def test_every_fold_depth(self):
+        # The first (length, step) at each depth up to the deepest one with
+        # lengths up to 600 and four progressions, every sign and power.
+        rng = random.Random(13)
+        starts = (1, 2, 2, 5)
+        cases = {}
+        for size in range(1, 601):
+            for step in range(1, 65):
+                cases.setdefault(qseries._fold_depth(size, len(starts), step), (size, step))
+        assert sorted(cases) == list(range(1, 10))
+        for depth, (size, step) in cases.items():
+            window = [rng.randint(-9, 9) for _ in range(size)]
+            sign, power = ((1, 1), (-1, 1), (1, -1), (-1, -1))[depth % 4]
+            got = list(window)
+            qseries._binomial_product_inplace(got, starts, step, sign, power)
+            assert got == binomial_product_by_factors(window, starts, step, sign, power), depth
+
+    def test_inexact_round_raises(self, monkeypatch):
+        # Running sums at the wrong stride make W * P_k wrong, and the
+        # second round's sum is then not divisible by 2.
+        real = qseries._div_binomial_inplace
+        monkeypatch.setattr(qseries, "_div_binomial_inplace", lambda window, exponent: real(window, exponent + 1))
+        with pytest.raises(ArithmeticError):
+            qseries._binomial_product_inplace([1] + [0] * 599, (1,), 1, -1)
 
 
 class TestDivideBinomial:
@@ -401,6 +465,30 @@ class TestDivideBinomial:
         got = list(window)
         qseries._div_binomial_inplace(got, exponent)
         assert got == want
+
+    def test_restricted_partitions_match_loops_around_every_fold_threshold(self):
+        # Every excluded subset of every modulus 2..6, at the window lengths
+        # on both sides of each change of fold depth below 700.  The series
+        # at order N is the order-701 oracle truncated, as the factors
+        # (1 - q^j) with j >= N are 1 mod q^N.
+        for modulus in range(2, 7):
+            for excluded in itertools.chain.from_iterable(
+                itertools.combinations(range(modulus), size) for size in range(modulus + 1)
+            ):
+                progressions = modulus - len(excluded)
+                thresholds = [
+                    order
+                    for order in range(2, 701)
+                    if qseries._fold_depth(order, progressions, modulus)
+                    != qseries._fold_depth(order - 1, progressions, modulus)
+                ]
+                oracle = restricted_partition_gf_by_loops(excluded, modulus, 701)
+                for order in {1, 2, 7} | {o for t in thresholds for o in (t - 1, t)}:
+                    assert restricted_partition_gf(excluded, modulus, order) == oracle.truncate(order), (
+                        modulus,
+                        excluded,
+                        order,
+                    )
 
     def test_restricted_partitions_match_loops_at_high_order(self):
         excluded = {0, 7, 8}
@@ -451,7 +539,7 @@ class TestTripleProduct:
         assert triple_product_g(0, 15, 80) == theta_g(0, 15, 80)
         assert triple_product_f(0, 4, 80) == theta_f(0, 4, 80)
 
-    @pytest.mark.parametrize("order", [1, 2, 37, 200])
+    @pytest.mark.parametrize("order", [1, 2, 37, 200, 400])
     def test_matches_three_family_oracle(self, order):
         # r = 0 or s = 0 covers both degenerate cases: the g form vanishes,
         # the f form doubles.
@@ -461,6 +549,13 @@ class TestTripleProduct:
                     continue
                 assert triple_product_f(r, s, order) == triple_product_by_families(r, s, order, +1), (r, s)
                 assert triple_product_g(r, s, order) == triple_product_by_families(r, s, order, -1), (r, s)
+
+    def test_matches_three_family_oracle_at_high_order(self):
+        # Fold depths 3 to 7 at this order; r = s gives a repeated
+        # progression, r = 0 or s = 0 the degenerate factor.
+        for r, s in ((0, 7), (9, 0), (1, 1), (1, 2), (3, 5), (10, 10), (2, 9)):
+            assert triple_product_f(r, s, 1200) == triple_product_by_families(r, s, 1200, +1), (r, s)
+            assert triple_product_g(r, s, 1200) == triple_product_by_families(r, s, 1200, -1), (r, s)
 
     def test_rejects_negative_exponents(self):
         with pytest.raises(ValueError):
