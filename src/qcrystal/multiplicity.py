@@ -344,10 +344,11 @@ def _theta_solve(n: int, order: int, conjecture: bool) -> tuple[QSeries, ...]:
     the i-th cofactor along row 0, times the inverse determinant.  Row 0
     is never rescaled, so the solution is that of the original system.
     One determinant, one inverse and one row of cofactors serve every
-    component.  A row entry below its row's power of q, or a rescaled
-    determinant without constant term +-1, raises
-    `NonUnitDeterminantError`; no n in 2..41, conjectured moduli
-    included, does.
+    component, from one Laplace expansion: `qs.det` is the row-0 sum over
+    the cofactors, which `qs.cofactors` then returns from its cache.  A
+    row entry below its row's power of q, or a rescaled determinant
+    without constant term +-1, raises `NonUnitDeterminantError`; no n in
+    2..41, conjectured moduli included, does.
     """
     if order < 1:
         raise ValueError("order must be at least 1")

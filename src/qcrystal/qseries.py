@@ -42,10 +42,12 @@ __all__ = [
 ]
 
 
-# A product whose sparser factor has fewer nonzero coefficients than this
-# (a theta series against a dense one, say) runs the zero-skipping loop;
-# denser products are packed into one big integer per factor.
+# A product whose sparser factor has fewer nonzero coefficients than
+# SPARSE_MUL_LIMIT, or than its width over SPARSE_MUL_DENSITY (a theta
+# series against a dense one, say), runs the zero-skipping loop; denser
+# products are packed into one big integer per factor.
 SPARSE_MUL_LIMIT = 32
+SPARSE_MUL_DENSITY = 6
 
 
 class OrderMismatchError(ValueError):
@@ -189,7 +191,8 @@ class QSeries:
             return QSeries.zero(bound)
         a, b = self.coeffs[:width], other.coeffs[:width]
         nonzero_a, nonzero_b = len(a) - a.count(0), len(b) - b.count(0)
-        if min(nonzero_a, nonzero_b) < SPARSE_MUL_LIMIT:
+        sparsest = min(nonzero_a, nonzero_b)
+        if sparsest < SPARSE_MUL_LIMIT or SPARSE_MUL_DENSITY * sparsest < width:
             if nonzero_b < nonzero_a:
                 a, b = b, a
             out = _sparse_product(a, b, width)
@@ -539,8 +542,8 @@ def triple_product_g(r: int, s: int, order: int) -> QSeries:
 # -- determinants ---------------------------------------------------------
 
 
-def _square_rows(matrix) -> list[list[QSeries]]:
-    rows = [list(r) for r in matrix]
+def _square_rows(matrix) -> tuple[tuple[QSeries, ...], ...]:
+    rows = tuple(map(tuple, matrix))
     size = len(rows)
     if size == 0:
         raise ValueError("empty matrix")
@@ -554,16 +557,23 @@ def _square_rows(matrix) -> list[list[QSeries]]:
     return rows
 
 
-def _laplace(rows: list[list[QSeries]]):
+def _laplace(rows: tuple[tuple[QSeries, ...], ...]):
     """Determinant of the trailing rows restricted to a column tuple.
 
     Laplace expansion along the top remaining row, memoised on the column
     set, so every minor is computed once: 2^size column sets in all.  The
     expansion keeps each product a (usually sparse) entry times a minor,
-    which the sparse product path handles.
+    which the sparse product path handles.  A one-column minor is the
+    bottom row's entry itself, exact, not that entry times 1 + O(q^order).
+    While no entry has negative valuation every product and sum stays at
+    the entries' order and zero factors are skipped; otherwise each step
+    goes through `_add_product`, since O(q^order) times a minor of
+    negative valuation still lowers the bound.
     """
     size, order = len(rows), rows[0][0].order
+    same_order = all(entry.lowest >= 0 for row in rows for entry in row)
     cache: dict[tuple[int, ...], QSeries] = {(): QSeries.one(order)}
+    cache.update(((col,), entry) for col, entry in enumerate(rows[-1]))
 
     def minor(cols: tuple[int, ...]) -> QSeries:
         hit = cache.get(cols)
@@ -573,26 +583,54 @@ def _laplace(rows: list[list[QSeries]]):
         acc = QSeries.zero(order)
         for pos, col in enumerate(cols):
             entry = row[col]
-            if entry.is_zero:
+            if same_order and entry.is_zero:
                 continue
-            term = entry * minor(cols[:pos] + cols[pos + 1:])
-            acc = acc - term if pos % 2 else acc + term
+            sub = minor(cols[:pos] + cols[pos + 1:])
+            if not same_order:
+                acc = _add_product(acc, entry, sub, pos % 2)
+            elif not sub.is_zero:
+                term = entry * sub
+                acc = acc - term if pos % 2 else acc + term
         cache[cols] = acc
         return acc
 
     return minor
 
 
+def _add_product(acc: QSeries, entry: QSeries, factor: QSeries, negate) -> QSeries:
+    """acc -+ entry * factor at the lowest bound all three support.  A factor
+    known to a lower order than the entry is padded with zeros up to it,
+    and the product cut where the padding first reaches."""
+    padded = QSeries._new(factor.lowest, [*factor.coeffs, *[0] * (entry.order - factor.order)], entry.order)
+    term = entry * padded
+    bound = min(acc.order, term.order, factor.order + min(0, entry.lowest))
+    term, acc = term.truncate(bound), acc.truncate(bound)
+    return acc - term if negate else acc + term
+
+
 def det(matrix) -> QSeries:
-    """Determinant of a square matrix of same-order series."""
+    """Determinant of a square matrix of same-order series: the Laplace
+    step along row 0, sum of row0[i] * cofactors(matrix)[i]."""
     rows = _square_rows(matrix)
-    return _laplace(rows)(tuple(range(len(rows))))
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = QSeries.zero(rows[0][0].order)
+    for entry, cofactor in zip(rows[0], _cofactors(rows)):
+        acc = _add_product(acc, entry, cofactor, False)
+    return acc
 
 
 def cofactors(matrix) -> tuple[QSeries, ...]:
     """Cofactors along the first row: (-1)^i times the minor without row 0
-    and column i.  They share one memoised expansion of the other rows."""
-    rows = _square_rows(matrix)
+    and column i.  They share one memoised expansion of the other rows,
+    and those of the most recent matrix are kept, so `det` and `cofactors`
+    of one matrix expand it once.  Each carries its own truncation bound,
+    below the entries' only when some entry has negative valuation."""
+    return _cofactors(_square_rows(matrix))
+
+
+@lru_cache(maxsize=1)
+def _cofactors(rows: tuple[tuple[QSeries, ...], ...]) -> tuple[QSeries, ...]:
     minor = _laplace(rows)
     cols = tuple(range(len(rows)))
     out = []

@@ -402,6 +402,16 @@ class TestThetaSeries:
             assert dets == [n // 2 + 1], n
             assert all(s.order == 12 for s in series)
 
+    def test_solve_expands_its_matrix_once(self, monkeypatch):
+        calls = []
+        for name in ("det", "cofactors", "_laplace"):
+            real = getattr(qs, name)
+            monkeypatch.setattr(qs, name, lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args))
+        multiplicity._theta_solve.cache_clear()
+        qs._cofactors.cache_clear()
+        multiplicity.theta_solution(11, 40)
+        assert sorted(calls) == ["_laplace", "cofactors", "det"]
+
     @staticmethod
     def _patch_matrix(monkeypatch, edit):
         """Route the solve through `edit(rows)` applied to the real matrix."""

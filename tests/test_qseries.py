@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qcrystal import qseries
 from qcrystal.qseries import (
+    SPARSE_MUL_DENSITY,
     SPARSE_MUL_LIMIT,
     NonUnitConstantError,
     OrderMismatchError,
@@ -34,8 +35,8 @@ from helpers import (
 )
 
 
-def rand_series(rng, order, max_lowest=3):
-    lowest = rng.randint(0, max_lowest)
+def rand_series(rng, order, max_lowest=3, min_lowest=0):
+    lowest = rng.randint(min_lowest, max_lowest)
     coeffs = [rng.randint(-9, 9) for _ in range(order - lowest)]
     return QSeries.from_coeffs(coeffs, order, lowest)
 
@@ -149,21 +150,31 @@ coefficients = st.one_of(st.integers(-9, 9), st.integers(-(2**80), 2**80))
 @st.composite
 def series(draw, order):
     """A series at `order` whose nonzero count falls below or above the
-    product's dispatch threshold, possibly zero, possibly with negative
-    valuation."""
+    product's dispatch boundary (the fixed limit, or the window length
+    over the density factor, whichever is larger), possibly zero,
+    possibly with negative valuation.  Coefficient values, small and past
+    a machine word, come from a drawn random generator: drawing hundreds
+    of them one by one would dominate the run."""
     lowest = draw(st.integers(-3, min(3, order - 1)))
     length = order - lowest
+    rng = draw(st.randoms(use_true_random=False))
     if draw(st.booleans()):
-        coeffs = draw(st.lists(coefficients, min_size=length, max_size=length))
+        positions = range(length)
     else:
-        nonzero = draw(st.dictionaries(st.integers(0, length - 1), coefficients, max_size=SPARSE_MUL_LIMIT))
-        coeffs = [nonzero.get(idx, 0) for idx in range(length)]
+        near = max(SPARSE_MUL_LIMIT, length // SPARSE_MUL_DENSITY)
+        count = draw(st.one_of(st.integers(0, length), st.integers(near - 2, near + 2)))
+        positions = rng.sample(range(length), min(count, length))
+    coeffs = [0] * length
+    for idx in positions:
+        coeffs[idx] = rng.randint(-9, 9) if rng.random() < 0.5 else rng.randint(-(2**80), 2**80)
     return QSeries.from_coeffs(coeffs, order, lowest)
 
 
 @st.composite
 def factor_pairs(draw):
-    order = draw(st.integers(1, 3 * SPARSE_MUL_LIMIT))
+    # Above SPARSE_MUL_DENSITY * SPARSE_MUL_LIMIT coefficients the density
+    # rule, not the fixed limit, sets the boundary; orders reach past that.
+    order = draw(st.integers(1, SPARSE_MUL_DENSITY * SPARSE_MUL_LIMIT + 64))
     return draw(series(order)), draw(series(order))
 
 
@@ -184,19 +195,33 @@ class TestProductProperties:
         a, b = pair
         assert a * b == b * a
 
-    @pytest.mark.parametrize("nonzero", [SPARSE_MUL_LIMIT - 1, SPARSE_MUL_LIMIT, 4 * SPARSE_MUL_LIMIT])
-    def test_both_paths_agree_at_the_threshold(self, nonzero):
+    @pytest.mark.parametrize(
+        "order, nonzero",
+        [
+            # a narrow window, where the fixed limit sets the boundary
+            *((4 * SPARSE_MUL_LIMIT, k) for k in (SPARSE_MUL_LIMIT - 1, SPARSE_MUL_LIMIT, 4 * SPARSE_MUL_LIMIT)),
+            # two wide windows, where width / SPARSE_MUL_DENSITY does
+            *((w * SPARSE_MUL_DENSITY, w + d) for w in (40, 100) for d in (-1, 0, 1)),
+        ],
+    )
+    def test_both_paths_agree_at_the_dispatch_boundary(self, order, nonzero, monkeypatch):
         rng = random.Random(nonzero)
-        order = 4 * SPARSE_MUL_LIMIT
         sparse = [0] * order
         for idx in rng.sample(range(order), nonzero):
             sparse[idx] = rng.choice((1, -1, 2, -(2**70)))
         dense = [rng.randint(-(2**90), 2**90) for _ in range(order)]
         expected = qseries._sparse_product(sparse, dense, order)
         assert qseries._packed_product(sparse, dense, order) == expected
+        paths = []
+        for name in ("_sparse_product", "_packed_product"):
+            real = getattr(qseries, name)
+            monkeypatch.setattr(qseries, name, lambda *args, _real=real, _name=name: paths.append(_name) or _real(*args))
         a, b = QSeries.from_coeffs(sparse, order), QSeries.from_coeffs(dense, order)
-        assert (a * b).coefficient_list() == expected
-        assert series_to_dict(a * b) == naive_series_mul(series_to_dict(a), series_to_dict(b), order)
+        product = a * b
+        sparse_path = nonzero < SPARSE_MUL_LIMIT or SPARSE_MUL_DENSITY * nonzero < order
+        assert paths == ["_sparse_product" if sparse_path else "_packed_product"]
+        assert product.coefficient_list() == expected
+        assert series_to_dict(product) == naive_series_mul(series_to_dict(a), series_to_dict(b), order)
 
 
 class TestInversion:
@@ -585,6 +610,19 @@ class TestDeterminant:
         d2 = QSeries.from_coeffs([1, -1], 20)
         assert det([[a, b], [c, d2]]) == a * d2 - b * c
 
+    def test_negative_valuation_lowers_the_bound(self):
+        # (q^-1 + 2 + 3 q + O(q^3)) * (1 + O(q^3)) is only known below q^2.
+        a = QSeries.from_coeffs([1, 2, 3], 3, lowest=-1)
+        one = QSeries.one(3)
+        assert det([[a, one], [one, one]]) == QSeries.from_coeffs([1, 1, 3], 2, lowest=-1)
+        # A one-column minor is the entry itself, not the entry times 1 + O(q^3).
+        assert cofactors([[one, one], [one, a]]) == (a, -one)
+        assert det([[a]]) == a
+        # A zero entry still lowers the bound: O(q^3) * q^-1 is O(q^2).
+        zero = QSeries.zero(3)
+        assert det([[zero, one], [one, a]]).order == 2
+        assert cofactors([[one, one, one], [one, zero, one], [one, one, a]])[0] == -one.truncate(2)
+
     def test_against_permanent_style_expansion(self):
         rng = random.Random(6)
         order = 16
@@ -596,45 +634,87 @@ class TestDeterminant:
         )
         assert det(mat) == expected
 
-    def test_seven_by_seven_against_permutation_sum(self):
+    @pytest.mark.parametrize("size, order, min_lowest", [(7, 6, 0), (5, 16, -2)])
+    def test_against_permutation_sum(self, size, order, min_lowest):
         # Leibniz formula with dictionary products, independent of the
-        # library's multiply and of its Laplace memo.
+        # library's multiply and of its Laplace memo.  A factor is known
+        # on [lowest, order) (a zero one on everything below order), so a
+        # term of factors with lowests l_1..l_size is known below
+        # order + sum(l) - max(l); partial products keep every exponent a
+        # later factor can bring below order.
         rng = random.Random(7)
-        order, size = 6, 7
-        mat = [[rand_series(rng, order, max_lowest=2) for _ in range(size)] for _ in range(size)]
+        mat = [
+            [rand_series(rng, order, max_lowest=2, min_lowest=min_lowest) for _ in range(size)]
+            for _ in range(size)
+        ]
         dicts = [[series_to_dict(entry) for entry in row] for row in mat]
+        lowests = [[entry.order if entry.is_zero else entry.lowest for entry in row] for row in mat]
+        reach = order - size * min_lowest
         expected: dict[int, int] = {}
+        known = reach
         for perm in itertools.permutations(range(size)):
             sign = 1
             for i in range(size):
                 for j in range(i + 1, size):
                     if perm[i] > perm[j]:
                         sign = -sign
+            factor_lowests = [lowests[row][col] for row, col in enumerate(perm)]
+            known = min(known, order + sum(factor_lowests) - max(factor_lowests))
             term = {0: sign}
             for row, col in enumerate(perm):
-                term = naive_series_mul(term, dicts[row][col], order)
+                term = naive_series_mul(term, dicts[row][col], reach)
                 if not term:
                     break
             for e, c in term.items():
                 expected[e] = expected.get(e, 0) + c
-        expected = {e: c for e, c in expected.items() if c}
-        assert series_to_dict(det(mat)) == expected
+        got = det(mat)
+        assert got.order <= known
+        if min_lowest < 0:
+            assert got.lowest < 0 and got.order > 0
+        assert series_to_dict(got) == {e: c for e, c in expected.items() if c and e < got.order}
 
-    def test_cofactors_expand_the_determinant(self):
+    @pytest.mark.parametrize("min_lowest", [0, -2])
+    def test_cofactors_expand_the_determinant(self, min_lowest):
         rng = random.Random(8)
         order = 12
         for size in (1, 2, 4, 7):
-            mat = [[rand_series(rng, order) for _ in range(size)] for _ in range(size)]
+            mat = [[rand_series(rng, order, min_lowest=min_lowest) for _ in range(size)] for _ in range(size)]
             cof = cofactors(mat)
-            total = QSeries.zero(order)
+            # Each product at the bound of its own equal-order factors,
+            # which is never above the one `det` reaches.
+            bound = min(c.order + min(0, entry.lowest, c.lowest) for entry, c in zip(mat[0], cof))
+            total = QSeries.zero(bound)
             for entry, c in zip(mat[0], cof):
-                total = total + entry * c
-            assert total == det(mat)
+                total = total + (entry.truncate(c.order) * c).truncate(bound)
+            assert det(mat).order >= bound
+            assert total == det(mat).truncate(bound)
             if size > 1:
                 minor = [row[1:] for row in mat[1:]]
                 assert cof[0] == det(minor)
                 minor = [row[:1] + row[2:] for row in mat[1:]]
                 assert cof[1] == -det(minor)
+
+    def test_one_expansion_per_matrix(self, monkeypatch):
+        built = []
+        real = qseries._laplace
+
+        def counting(rows):
+            built.append(rows)
+            return real(rows)
+
+        monkeypatch.setattr(qseries, "_laplace", counting)
+        qseries._cofactors.cache_clear()
+        rng = random.Random(9)
+        first, second = ([[rand_series(rng, 10) for _ in range(4)] for _ in range(4)] for _ in range(2))
+        d = det(first)
+        assert cofactors([list(row) for row in first]) == cofactors(first)
+        assert len(built) == 1
+        c = cofactors(second)
+        assert det(second) == sum((e * x for e, x in zip(second[0], c)), QSeries.zero(10))
+        assert len(built) == 2
+        assert qseries._cofactors.cache_info().currsize == 1
+        assert det(first) == d
+        assert len(built) == 3
 
     def test_rejects_bad_shapes(self):
         a = QSeries.one(5)
