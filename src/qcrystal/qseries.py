@@ -10,9 +10,10 @@ stored as lowest=0 with no coefficients), which makes structural equality
 of the dataclass coincide with coefficient-wise equality at equal order.
 
 Products pick their algorithm by density: a factor with few nonzero
-coefficients (a theta series) is multiplied term by term, skipping zeros;
-two dense factors are packed into one big integer each (Kronecker
-substitution) with slots wide enough for a proven coefficient bound.
+coefficients (a theta series) against a denser one is multiplied term by
+term, skipping zeros; other pairs are packed into one big integer each
+(Kronecker substitution) with slots wide enough for a proven coefficient
+bound.
 
 Products are exact: when a factor has negative valuation, coefficients of
 the product near the truncation bound would need tail data that a
@@ -43,9 +44,11 @@ __all__ = [
 
 
 # A product whose sparser factor has fewer nonzero coefficients than
-# SPARSE_MUL_LIMIT, or than its width over SPARSE_MUL_DENSITY (a theta
-# series against a dense one, say), runs the zero-skipping loop; denser
-# products are packed into one big integer per factor.
+# SPARSE_MUL_LIMIT, or SPARSE_MUL_DENSITY times fewer than the other (a
+# theta series against a dense one, say), runs the zero-skipping loop;
+# other products, two sparse factors of like density included, whose
+# loop would walk every slot of the other, are packed into one big
+# integer per factor.
 SPARSE_MUL_LIMIT = 32
 SPARSE_MUL_DENSITY = 6
 
@@ -191,10 +194,9 @@ class QSeries:
             return QSeries.zero(bound)
         a, b = self.coeffs[:width], other.coeffs[:width]
         nonzero_a, nonzero_b = len(a) - a.count(0), len(b) - b.count(0)
-        sparsest = min(nonzero_a, nonzero_b)
-        if sparsest < SPARSE_MUL_LIMIT or SPARSE_MUL_DENSITY * sparsest < width:
-            if nonzero_b < nonzero_a:
-                a, b = b, a
+        if nonzero_b < nonzero_a:
+            a, b, nonzero_a, nonzero_b = b, a, nonzero_b, nonzero_a
+        if nonzero_a < SPARSE_MUL_LIMIT or SPARSE_MUL_DENSITY * nonzero_a < nonzero_b:
             out = _sparse_product(a, b, width)
         else:
             out = _packed_product(a, b, width)
@@ -565,13 +567,13 @@ def _laplace(rows: tuple[tuple[QSeries, ...], ...]):
     expansion keeps each product a (usually sparse) entry times a minor,
     which the sparse product path handles.  A one-column minor is the
     bottom row's entry itself, exact, not that entry times 1 + O(q^order).
-    While no entry has negative valuation every product and sum stays at
-    the entries' order and zero factors are skipped; otherwise each step
-    goes through `_add_product`, since O(q^order) times a minor of
-    negative valuation still lowers the bound.
+    Every term joins the sum through `_add_product`.  Zero entries and
+    zero minors are skipped only while no entry has negative valuation:
+    below it, O(q^order) times a series of negative valuation still
+    lowers the bound.
     """
     size, order = len(rows), rows[0][0].order
-    same_order = all(entry.lowest >= 0 for row in rows for entry in row)
+    skip_zeros = all(entry.lowest >= 0 for row in rows for entry in row)
     cache: dict[tuple[int, ...], QSeries] = {(): QSeries.one(order)}
     cache.update(((col,), entry) for col, entry in enumerate(rows[-1]))
 
@@ -583,14 +585,12 @@ def _laplace(rows: tuple[tuple[QSeries, ...], ...]):
         acc = QSeries.zero(order)
         for pos, col in enumerate(cols):
             entry = row[col]
-            if same_order and entry.is_zero:
+            if skip_zeros and entry.is_zero:
                 continue
             sub = minor(cols[:pos] + cols[pos + 1:])
-            if not same_order:
-                acc = _add_product(acc, entry, sub, pos % 2)
-            elif not sub.is_zero:
-                term = entry * sub
-                acc = acc - term if pos % 2 else acc + term
+            if skip_zeros and sub.is_zero:
+                continue
+            acc = _add_product(acc, entry, sub, pos % 2)
         cache[cols] = acc
         return acc
 
@@ -599,12 +599,18 @@ def _laplace(rows: tuple[tuple[QSeries, ...], ...]):
 
 def _add_product(acc: QSeries, entry: QSeries, factor: QSeries, negate) -> QSeries:
     """acc -+ entry * factor at the lowest bound all three support.  A factor
-    known to a lower order than the entry is padded with zeros up to it,
-    and the product cut where the padding first reaches."""
-    padded = QSeries._new(factor.lowest, [*factor.coeffs, *[0] * (entry.order - factor.order)], entry.order)
-    term = entry * padded
-    bound = min(acc.order, term.order, factor.order + min(0, entry.lowest))
-    term, acc = term.truncate(bound), acc.truncate(bound)
+    known to a lower order than the entry (only below negative valuation)
+    is padded with zeros up to it, and the product cut where the padding
+    first reaches."""
+    if factor.order < entry.order:
+        padded = QSeries._new(factor.lowest, [*factor.coeffs, *[0] * (entry.order - factor.order)], entry.order)
+        term = entry * padded
+        term = term.truncate(min(term.order, factor.order + min(0, entry.lowest)))
+    else:
+        term = entry * factor
+    if term.order != acc.order:
+        bound = min(acc.order, term.order)
+        term, acc = term.truncate(bound), acc.truncate(bound)
     return acc - term if negate else acc + term
 
 

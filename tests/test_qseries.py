@@ -148,34 +148,36 @@ coefficients = st.one_of(st.integers(-9, 9), st.integers(-(2**80), 2**80))
 
 
 @st.composite
-def series(draw, order):
-    """A series at `order` whose nonzero count falls below or above the
-    product's dispatch boundary (the fixed limit, or the window length
-    over the density factor, whichever is larger), possibly zero,
-    possibly with negative valuation.  Coefficient values, small and past
-    a machine word, come from a drawn random generator: drawing hundreds
-    of them one by one would dominate the run."""
+def series(draw, order, near=SPARSE_MUL_LIMIT):
+    """A series at `order`, possibly zero, possibly with negative
+    valuation: dense, or with a nonzero count anywhere in its window or
+    within 2 of `near`.  Sparse positions come from a drawn random
+    generator, every value from `coefficients`."""
     lowest = draw(st.integers(-3, min(3, order - 1)))
     length = order - lowest
-    rng = draw(st.randoms(use_true_random=False))
     if draw(st.booleans()):
         positions = range(length)
     else:
-        near = max(SPARSE_MUL_LIMIT, length // SPARSE_MUL_DENSITY)
         count = draw(st.one_of(st.integers(0, length), st.integers(near - 2, near + 2)))
-        positions = rng.sample(range(length), min(count, length))
+        positions = draw(st.randoms(use_true_random=False)).sample(range(length), min(max(count, 0), length))
+    values = draw(st.lists(coefficients, min_size=len(positions), max_size=len(positions)))
     coeffs = [0] * length
-    for idx in positions:
-        coeffs[idx] = rng.randint(-9, 9) if rng.random() < 0.5 else rng.randint(-(2**80), 2**80)
+    for idx, value in zip(positions, values):
+        coeffs[idx] = value
     return QSeries.from_coeffs(coeffs, order, lowest)
 
 
 @st.composite
 def factor_pairs(draw):
-    # Above SPARSE_MUL_DENSITY * SPARSE_MUL_LIMIT coefficients the density
-    # rule, not the fixed limit, sets the boundary; orders reach past that.
-    order = draw(st.integers(1, SPARSE_MUL_DENSITY * SPARSE_MUL_LIMIT + 64))
-    return draw(series(order)), draw(series(order))
+    """Two series at one order, the second possibly next to the product's
+    dispatch boundary against the first: the fixed limit, or the first's
+    nonzero count over the density factor.  Orders reach past
+    SPARSE_MUL_DENSITY * SPARSE_MUL_LIMIT, below which the limit decides."""
+    limit = SPARSE_MUL_DENSITY * SPARSE_MUL_LIMIT
+    order = draw(st.one_of(st.integers(1, 3 * SPARSE_MUL_LIMIT), st.integers(limit, limit + 64)))
+    a = draw(series(order))
+    nonzero = len(a.coeffs) - a.coeffs.count(0)
+    return a, draw(series(order, near=max(SPARSE_MUL_LIMIT, nonzero // SPARSE_MUL_DENSITY)))
 
 
 class TestProductProperties:
@@ -196,20 +198,31 @@ class TestProductProperties:
         assert a * b == b * a
 
     @pytest.mark.parametrize(
-        "order, nonzero",
+        "order, nonzero, other",
         [
-            # a narrow window, where the fixed limit sets the boundary
-            *((4 * SPARSE_MUL_LIMIT, k) for k in (SPARSE_MUL_LIMIT - 1, SPARSE_MUL_LIMIT, 4 * SPARSE_MUL_LIMIT)),
-            # two wide windows, where width / SPARSE_MUL_DENSITY does
-            *((w * SPARSE_MUL_DENSITY, w + d) for w in (40, 100) for d in (-1, 0, 1)),
+            # a narrow window against a dense factor: the fixed limit
+            *((4 * SPARSE_MUL_LIMIT, k, None) for k in (SPARSE_MUL_LIMIT - 1, SPARSE_MUL_LIMIT, 4 * SPARSE_MUL_LIMIT)),
+            # two wide windows against a dense factor: a 1/SPARSE_MUL_DENSITY share
+            *((w * SPARSE_MUL_DENSITY, w + d, None) for w in (40, 100) for d in (-1, 0, 1)),
+            # two sparse factors: the other factor's nonzero count
+            *((600, 40 + d, 40 * SPARSE_MUL_DENSITY) for d in (-1, 0, 1)),
+            (600, 100, 160),
         ],
     )
-    def test_both_paths_agree_at_the_dispatch_boundary(self, order, nonzero, monkeypatch):
+    def test_both_paths_agree_at_the_dispatch_boundary(self, order, nonzero, other, monkeypatch):
         rng = random.Random(nonzero)
-        sparse = [0] * order
-        for idx in rng.sample(range(order), nonzero):
-            sparse[idx] = rng.choice((1, -1, 2, -(2**70)))
-        dense = [rng.randint(-(2**90), 2**90) for _ in range(order)]
+
+        def sparse_coeffs(count):
+            coeffs = [0] * order
+            for idx in rng.sample(range(order), count):
+                coeffs[idx] = rng.choice((1, -1, 2, -(2**70)))
+            return coeffs
+
+        sparse = sparse_coeffs(nonzero)
+        if other is None:
+            dense = [rng.choice((1, -1)) * rng.randint(1, 2**90) for _ in range(order)]
+        else:
+            dense = sparse_coeffs(other)
         expected = qseries._sparse_product(sparse, dense, order)
         assert qseries._packed_product(sparse, dense, order) == expected
         paths = []
@@ -218,7 +231,7 @@ class TestProductProperties:
             monkeypatch.setattr(qseries, name, lambda *args, _real=real, _name=name: paths.append(_name) or _real(*args))
         a, b = QSeries.from_coeffs(sparse, order), QSeries.from_coeffs(dense, order)
         product = a * b
-        sparse_path = nonzero < SPARSE_MUL_LIMIT or SPARSE_MUL_DENSITY * nonzero < order
+        sparse_path = nonzero < SPARSE_MUL_LIMIT or SPARSE_MUL_DENSITY * nonzero < (other or order)
         assert paths == ["_sparse_product" if sparse_path else "_packed_product"]
         assert product.coefficient_list() == expected
         assert series_to_dict(product) == naive_series_mul(series_to_dict(a), series_to_dict(b), order)
@@ -668,9 +681,15 @@ class TestDeterminant:
             for e, c in term.items():
                 expected[e] = expected.get(e, 0) + c
         got = det(mat)
-        assert got.order <= known
-        if min_lowest < 0:
-            assert got.lowest < 0 and got.order > 0
+        if min_lowest == 0:
+            assert got.order == order
+            assert series_to_dict(got) == {e: c for e, c in expected.items() if c}
+            return
+        # Laplace keeps a k-row minor known below order + (k - 1) * v, v the
+        # least valuation of any entry; no expansion knows more than Leibniz.
+        least = min(entry.lowest for row in mat for entry in row if not entry.is_zero)
+        assert order + (size - 1) * least <= got.order <= known
+        assert got.lowest < 0
         assert series_to_dict(got) == {e: c for e, c in expected.items() if c and e < got.order}
 
     @pytest.mark.parametrize("min_lowest", [0, -2])
@@ -683,6 +702,8 @@ class TestDeterminant:
             # Each product at the bound of its own equal-order factors,
             # which is never above the one `det` reaches.
             bound = min(c.order + min(0, entry.lowest, c.lowest) for entry, c in zip(mat[0], cof))
+            if min_lowest == 0:
+                assert bound == order
             total = QSeries.zero(bound)
             for entry, c in zip(mat[0], cof):
                 total = total + (entry.truncate(c.order) * c).truncate(bound)
