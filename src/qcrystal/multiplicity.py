@@ -4,8 +4,8 @@ The combinatorial route enumerates (or counts) congruence-chain shapes and
 buckets them by component label.  The analytic route assembles a matrix of
 shifted theta series, one row per quadratic-residue class of exponents,
 and solves for the generating functions by Cramer's rule.  Both routes
-must agree; the package's tests and the `verify` CLI exercise exactly that
-agreement.
+must agree; the package's tests and `bseries --method both` check exactly
+that agreement.
 
 The matrix construction is proven for an odd prime modulus and for twice 1
 or twice an odd prime.  For other moduli the same formulas are applied

@@ -90,49 +90,41 @@ def simple_root(i: int, n: int) -> WeightVector:
 
 
 def weight_of(p: Partition, n: int) -> WeightVector:
-    """L_0 minus one simple root per cell, grouped by cell color."""
-    counts = color_counts(p, n)  # rejects n < 2 before it indexes anything
-    w = fundamental_weight(0, n)
-    for t, count in enumerate(counts):
-        if count:
-            w = w - count * simple_root(t, n)
-    return w
+    """L_0 minus one simple root per cell, grouped by cell color.
 
-
-def classify_maximal(p: Partition, n: int) -> ComponentLabel:
-    """Component label of a chain-family member, from its color counts.
-
-    Computes 2 L_0 minus the colored-box root sum and matches it against
-    L_i + L_{n-i} - k delta.  The box count must satisfy
-    boxes = i^2 + (k - i) n with k >= i; violations raise.  The weight is
-    a plain list of L-coefficients plus a delta integer, with each simple
-    root written out as in simple_root:
-    alpha_t = 2 L_t - L_{t-1} - L_{t+1} + [t = 0] delta.
+    With c_t cells of color t this is L_0 - sum_t c_t alpha_t, each root
+    written out as in simple_root: L_t loses 2 c_t, L_{t-1} and L_{t+1}
+    gain c_t, and delta = -c_0 because alpha_0 alone carries delta.
     """
-    if not is_maximal_shape(p, n):
-        raise ValueError(f"{p} is not a chain-family member for n={n}")
-    counts = color_counts(p, n)
+    counts = color_counts(p, n)  # rejects n < 2 before it indexes anything
     lam = [0] * n
-    lam[0] = 2
-    delta = -counts[0]  # alpha_0 is the only simple root carrying delta
+    lam[0] = 1
     for t, count in enumerate(counts):
         if count:
             lam[t] -= 2 * count
             lam[t - 1] += count
             lam[(t + 1) % n] += count
-    k = -delta
-    label = None
+    return WeightVector(tuple(lam), -counts[0])
+
+
+def classify_maximal(p: Partition, n: int) -> ComponentLabel:
+    """Component label of a chain-family member.
+
+    The member sits in the second factor of V(L_0) (x) V(L_0), so its
+    vertex has weight L_0 + weight_of(p).  That weight must be
+    L_i + L_{n-i} - k delta for some 0 <= i <= n/2, and the box count must
+    then satisfy boxes = i^2 + (k - i) n with k >= i; violations raise.
+    """
+    if not is_maximal_shape(p, n):
+        raise ValueError(f"{p} is not a chain-family member for n={n}")
+    w = fundamental_weight(0, n) + weight_of(p, n)
     for i in range(n // 2 + 1):
-        expected = [0] * n
-        expected[i] += 1
-        expected[-i] += 1
-        if lam == expected:
-            label = ComponentLabel(i, k)
+        if w.lam == (fundamental_weight(i, n) + fundamental_weight(-i, n)).lam:
             break
-    if label is None:
-        w = WeightVector(tuple(lam), delta)
+    else:
         raise ValueError(f"weight of {p} is not of component form: {w}")
-    if k < label.i or p.boxes != label.i**2 + (k - label.i) * n:
+    label = ComponentLabel(i, -w.delta)
+    if label.k < i or p.boxes != i**2 + (label.k - i) * n:
         raise ValueError(f"inconsistent classification for {p}: {label}")
     return label
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcrystal import multiplicity, qseries as qs
+from qcrystal import crystal, multiplicity, qseries as qs, weightlat, young
 from qcrystal.multiplicity import (
     NonUnitDeterminantError,
     UnsupportedModulusError,
@@ -506,3 +506,55 @@ class TestMasterIdentity:
     def test_rejects_short_series(self):
         with pytest.raises(ValueError):
             master_discrepancy(3, 121, series=[gf_comb(i, 3, 40) for i in range(2)])
+
+
+def _forbid(monkeypatch, module, *names):
+    for name in names:
+
+        def refuse(*args, _name=name, **kwargs):
+            pytest.fail(f"{module.__name__}.{_name} was called")
+
+        monkeypatch.setattr(module, name, refuse)
+
+
+class TestRouteIndependence:
+    """Neither route may lean on the other's machinery."""
+
+    def test_theta_route_uses_no_shapes_or_chain_counts(self, monkeypatch):
+        expected = tuple(gf_comb(i, 11, 40) for i in range(6))
+        _forbid(
+            monkeypatch,
+            multiplicity,
+            "_table_for",
+            "_count_table",
+            "enumerate_maximal_shapes",
+            "classify_maximal",
+        )
+        _forbid(monkeypatch, young, "_shape_table")
+        multiplicity._theta_solve.cache_clear()
+        assert multiplicity.theta_solution(11, 40) == expected
+
+    def test_combinatorial_route_uses_no_theta_series(self, monkeypatch):
+        _forbid(monkeypatch, qs, "det", "_laplace", "theta_f", "theta_g", "euler_phi")
+        _forbid(monkeypatch, multiplicity, "coefficient_matrix")
+        monkeypatch.setattr(multiplicity, "_tables", {})
+        monkeypatch.setattr(young, "_shape_tables", {})
+        for i in range(6):
+            # The i x i square is the only member with i^2 boxes.
+            assert gf_comb(i, 11, 40).coeff(0) == 1
+        table = multiplicity_table(4, 6)
+        for (i, k), entry in table.rows():
+            assert entry.count == gf_comb(i, 4, 7).coeff(k - i)
+
+    def test_crystal_module_holds_no_chain_shape_code(self):
+        names = ("is_maximal_shape", "enumerate_maximal_shapes", "maximal_shape_color_counts")
+        assert not set(names) & set(vars(crystal))
+
+    def test_classification_needs_no_closed_form(self, monkeypatch):
+        _forbid(monkeypatch, weightlat, "closed_form_component_index")
+        for n in range(2, 7):
+            for boxes in range(13):
+                by_class = [0] * (n // 2 + 1)
+                for member in enumerate_maximal_shapes(n, boxes):
+                    by_class[classify_maximal(member, n).i] += 1
+                assert by_class == list(count_by_component(n, boxes)), (n, boxes)

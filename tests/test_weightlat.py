@@ -1,5 +1,6 @@
 import pytest
 
+from qcrystal import weightlat
 from qcrystal.weightlat import (
     ComponentLabel,
     WeightVector,
@@ -16,6 +17,9 @@ from helpers import partitions_upto
 
 def P(*parts):
     return Partition.from_parts(parts)
+
+
+MEMBERS = [(EMPTY, 3), (P(4, 1, 1), 3), (P(2, 2), 6)]
 
 
 class TestWeightVector:
@@ -96,6 +100,27 @@ class TestClassification:
             closed_form_component_index(P(2), 3)
         with pytest.raises(ValueError):
             closed_form_component_index(EMPTY, 3)
+
+    @staticmethod
+    def _add_cells(monkeypatch, extra):
+        real = weightlat.color_counts
+        monkeypatch.setattr(
+            weightlat, "color_counts", lambda p, n: tuple(c + e for c, e in zip(real(p, n), extra))
+        )
+
+    @pytest.mark.parametrize("p, n", MEMBERS)
+    def test_weight_off_the_component_form_raises(self, monkeypatch, p, n):
+        self._add_cells(monkeypatch, [0, 1] + [0] * (n - 2))
+        with pytest.raises(ValueError, match="not of component form"):
+            classify_maximal(p, n)
+
+    @pytest.mark.parametrize("p, n", MEMBERS)
+    def test_box_count_off_the_label_raises(self, monkeypatch, p, n):
+        # One more cell of every color subtracts sum_t alpha_t = delta:
+        # the L-part still matches, but k grows by one past the box count.
+        self._add_cells(monkeypatch, [1] * n)
+        with pytest.raises(ValueError, match="inconsistent classification"):
+            classify_maximal(p, n)
 
     def test_both_derivations_agree(self):
         for n in range(2, 7):
