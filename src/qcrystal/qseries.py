@@ -48,7 +48,8 @@ __all__ = [
 # theta series against a dense one, say), runs the zero-skipping loop;
 # other products, two sparse factors of like density included, whose
 # loop would walk every slot of the other, are packed into one big
-# integer per factor.
+# integer per factor.  `_product` applies the rule; `QSeries.invert`
+# reads it too, to pick between its term recurrence and Newton steps.
 SPARSE_MUL_LIMIT = 32
 SPARSE_MUL_DENSITY = 6
 
@@ -192,15 +193,7 @@ class QSeries:
         width = bound - lo
         if width <= 0:
             return QSeries.zero(bound)
-        a, b = self.coeffs[:width], other.coeffs[:width]
-        nonzero_a, nonzero_b = len(a) - a.count(0), len(b) - b.count(0)
-        if nonzero_b < nonzero_a:
-            a, b, nonzero_a, nonzero_b = b, a, nonzero_b, nonzero_a
-        if nonzero_a < SPARSE_MUL_LIMIT or SPARSE_MUL_DENSITY * nonzero_a < nonzero_b:
-            out = _sparse_product(a, b, width)
-        else:
-            out = _packed_product(a, b, width)
-        return QSeries._new(lo, out, bound)
+        return QSeries._new(lo, _product(self.coeffs[:width], other.coeffs[:width], width), bound)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -236,23 +229,46 @@ class QSeries:
         return QSeries(self.lowest, self.coeffs[: order - self.lowest], order)
 
     def invert(self) -> "QSeries":
-        """Inverse of a series with constant term +-1 and lowest = 0."""
+        """Inverse of a series with constant term +-1 and lowest = 0.
+
+        The term recurrence finds one coefficient per pass over the nonzero
+        terms.  A series too dense to be the sparse factor of a product
+        leaves it once at least SPARSE_MUL_LIMIT coefficients are known and
+        each has fewer bits than their count.  From there each Newton step
+        g <- g - g * (a * g - 1) doubles the known prefix with two products
+        (H. T. Kung, Numer. Math. 22 (1974) 341-348); no step divides, so
+        all are exact.  Inverses that grow by a bit or more per exponent
+        stay on the recurrence: a packed product sizes every slot for the
+        largest coefficient, and there it loses to the narrow terms.
+        """
         if self.is_zero or self.lowest != 0 or self.coeffs[0] not in (1, -1):
             raise NonUnitConstantError("inversion needs lowest = 0 and constant term +-1")
         c0 = self.coeffs[0]
         a = self.coeffs
-        out = [0] * (self.order)
-        out[0] = c0  # 1/c0 == c0 for units
+        order = self.order
         support = [j for j in range(1, len(a)) if a[j]]
-        for e in range(1, self.order):
+        nonzero = len(support) + 1
+        dense = nonzero >= SPARSE_MUL_LIMIT and SPARSE_MUL_DENSITY * nonzero >= order
+        out = [c0]  # 1/c0 == c0 for units
+        width = 1
+        for e in range(1, order):
+            if dense and e >= SPARSE_MUL_LIMIT and width < e:
+                break
             acc = 0
             for j in support:
                 if j > e:
                     break
                 acc += a[j] * out[e - j]
-            if acc:
-                out[e] = -c0 * acc
-        return QSeries._new(0, out, self.order)
+            out.append(-c0 * acc)
+            if dense:
+                width = max(width, out[-1].bit_length())
+        known = len(out)
+        while known < order:
+            step = min(known, order - known)
+            residual = _product(a[: known + step], out, known + step)[known:]
+            out += map(neg, _product(out[:step], residual, step))
+            known += step
+        return QSeries._new(0, out, order)
 
     # -- exponent substitutions -------------------------------------------
 
@@ -280,6 +296,17 @@ class QSeries:
                     f"exponent {self.lowest + idx} is not divisible by {k}"
                 )
         return QSeries._new(self.lowest // k, list(self.coeffs[::k]), new_order)
+
+
+def _product(a, b, width: int) -> list[int]:
+    """The first `width` coefficients of a product of two coefficient
+    sequences, by the path the density rule above picks."""
+    nonzero_a, nonzero_b = len(a) - a.count(0), len(b) - b.count(0)
+    if nonzero_b < nonzero_a:
+        a, b, nonzero_a, nonzero_b = b, a, nonzero_b, nonzero_a
+    if nonzero_a < SPARSE_MUL_LIMIT or SPARSE_MUL_DENSITY * nonzero_a < nonzero_b:
+        return _sparse_product(a, b, width)
+    return _packed_product(a, b, width)
 
 
 def _sparse_product(sparse, dense, width: int) -> list[int]:

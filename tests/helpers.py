@@ -73,6 +73,16 @@ def naive_series_mul(a: dict, b: dict, order: int) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
+def invert_by_recurrence(s):
+    """Inverse of a series with lowest 0 and constant term +-1, one
+    coefficient at a time: out[e] = -c0 * sum_j a[j] out[e - j]."""
+    a = s.coeffs
+    out = [a[0]]
+    for e in range(1, s.order):
+        out.append(-a[0] * sum(a[j] * out[e - j] for j in range(1, e + 1)))
+    return QSeries.from_coeffs(out, s.order)
+
+
 def series_to_dict(s) -> dict:
     """Exponent->coefficient map of a QSeries, nonzero entries only."""
     return {

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,7 +19,7 @@ from qcrystal.multiplicity import (
     residue_block,
     theta_branch,
 )
-from qcrystal.qseries import QSeries, euler_phi, theta_f, theta_g
+from qcrystal.qseries import QSeries, euler_phi, restricted_partition_gf, theta_f, theta_g
 from qcrystal.weightlat import classify_maximal
 from qcrystal.young import EMPTY, Partition, color_counts, enumerate_maximal_shapes
 
@@ -243,6 +245,12 @@ class TestBlocks:
                 assert direct == total, (n, i)
 
 
+def rescaled_determinant(n, order):
+    """Determinant of the theta matrix with row j divided by q^floor(j^2/n)."""
+    matrix = coefficient_matrix(n, order + (n // 2) ** 2 // n, conjecture=True)
+    return qs.det([[e.shift(-(j * j // n)).truncate(order) for e in row] for j, row in enumerate(matrix)])
+
+
 class TestMatrix:
     def test_branch_classification(self):
         assert theta_branch(2) == ("two-p", True)
@@ -274,6 +282,28 @@ class TestMatrix:
     def test_n3_determinant_is_squared_euler_product(self):
         order = 300
         assert qs.det(coefficient_matrix(3, order)) == euler_phi(order) ** 2
+
+    @pytest.mark.parametrize("n", range(2, 14))
+    def test_rescaled_determinant_factors_into_euler_products(self, n):
+        # Observed for every n in 2..23, proven and conjecture-only alike;
+        # only n = 3 (lemma 5.4) is proven.
+        order = 60
+        expected = euler_phi(order) ** ((n + 1) // 2)
+        if n % 2 == 0:
+            expected = expected * euler_phi(order, 2)
+        assert rescaled_determinant(n, order) == expected
+
+    @pytest.mark.parametrize("n, order", [(2, 896), (3, 897), (6, 517)])
+    def test_inverse_determinant_at_benchmark_sizes(self, n, order):
+        # The observed factorization read as partition counts, which are
+        # built from binomial divisions and share no code with `invert`.
+        expected = restricted_partition_gf((), 1, order) ** ((n + 1) // 2)
+        if n % 2 == 0:
+            expected = expected * restricted_partition_gf({1}, 2, order)
+        determinant = rescaled_determinant(n, order)
+        with mock.patch.object(qs, "_product", wraps=qs._product) as product:
+            assert determinant.invert() == expected
+        assert product.called  # the inverse took Newton steps
 
     def test_n3_determinant_matches_displayed_expansion(self):
         order = 120

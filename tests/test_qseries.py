@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,6 +27,7 @@ from helpers import (
     binomial_product_by_factors,
     count_partitions,
     euler_phi_by_binomials,
+    invert_by_recurrence,
     naive_series_mul,
     partitions_of,
     restricted_partition_gf_by_loops,
@@ -274,7 +276,74 @@ def unit_series(draw):
     return QSeries.from_coeffs([draw(st.sampled_from((1, -1))), *tail], order)
 
 
+unit_values = st.sampled_from((1, -1))
+
+
+def partition_power(order, k, sign):
+    """sign / phi(q)^k: dense, coefficients past 80 bits for large k, and
+    an inverse sign * phi(q)^k whose coefficients stay narrow."""
+    return restricted_partition_gf((), 1, order) ** k * sign
+
+
+@st.composite
+def inversion_inputs(draw):
+    """A series with lowest 0 and constant term +-1 at an order up to 300,
+    with a nonzero count anywhere in its window or within 2 of one of the
+    inversion's dispatch boundaries: SPARSE_MUL_LIMIT, or a
+    SPARSE_MUL_DENSITY-th of the order.  Positions come from a drawn
+    random generator; values are +-1, whose inverses mostly grow by less
+    than a bit per exponent, or come from `coefficients`, whose inverses
+    mostly grow faster.  A +-1 draw may be divided by a power of phi(q),
+    which makes it dense with wide coefficients and keeps its inverse
+    narrow."""
+    order = draw(st.integers(1, 300))
+    near = draw(st.sampled_from((SPARSE_MUL_LIMIT, order // SPARSE_MUL_DENSITY)))
+    count = min(max(draw(st.one_of(st.integers(1, order), st.integers(near - 2, near + 2))), 1), order)
+    positions = draw(st.randoms(use_true_random=False)).sample(range(1, order), count - 1)
+    values = draw(st.sampled_from((unit_values, coefficients.filter(bool))))
+    coeffs = [draw(unit_values)] + [0] * (order - 1)
+    for idx, value in zip(positions, draw(st.lists(values, min_size=count - 1, max_size=count - 1))):
+        coeffs[idx] = value
+    s = QSeries.from_coeffs(coeffs, order)
+    if values is unit_values:
+        s = s * partition_power(order, draw(st.one_of(st.just(0), st.integers(1, 16))), 1)
+    return s
+
+
+def newton_steps(s, inverse):
+    """Newton steps `s.invert()` should take: none for a series sparse
+    enough for the product's sparse path; otherwise as many as double the
+    first prefix of at least SPARSE_MUL_LIMIT coefficients that are all
+    narrower in bits than its length up to the order."""
+    nonzero = len(s.coeffs) - s.coeffs.count(0)
+    if nonzero < SPARSE_MUL_LIMIT or SPARSE_MUL_DENSITY * nonzero < s.order:
+        return 0
+    width = list(itertools.accumulate((c.bit_length() for c in inverse.coefficient_list()), max))
+    known = next((e for e in range(SPARSE_MUL_LIMIT, s.order) if width[e - 1] < e), s.order)
+    steps = 0
+    while known < s.order:
+        steps, known = steps + 1, 2 * known
+    return steps
+
+
 class TestInversionProperties:
+    # Order 32 needs no Newton step and 64 ends on a doubling of the known
+    # prefix; 33, 65 and 97 end with a short last step.
+    @settings(max_examples=100, deadline=None)
+    @given(inversion_inputs())
+    @example(partition_power(32, 1, 1))
+    @example(partition_power(33, 2, -1))
+    @example(partition_power(64, 5, 1))
+    @example(partition_power(65, 12, -1))
+    @example(partition_power(97, 16, 1))
+    def test_matches_term_recurrence(self, s):
+        with mock.patch.object(qseries, "_product", wraps=qseries._product) as product:
+            inverse = s.invert()
+        expected = invert_by_recurrence(s)
+        assert inverse == expected
+        # two products per Newton step, none on the recurrence
+        assert product.call_count == 2 * newton_steps(s, expected)
+
     @settings(max_examples=100, deadline=None)
     @given(unit_series())
     def test_unit_constant_term_inverts(self, s):
