@@ -55,9 +55,11 @@ def _resolve_order(args, sources: tuple[str, ...], default: int) -> int:
 
 def _print_json_rows(head: dict, key: str, rows) -> None:
     """Print `head` plus a `key` list as one indented JSON object, with
-    each row of the list compact on its own line."""
+    each row of the list compact on its own line.  Rows are trees of
+    lists, tuples and dicts without cycles, so they are encoded without the
+    cycle check, which would record every container on the way down."""
     fields = [f"  {json.dumps(name)}: {json.dumps(value)}," for name, value in head.items()]
-    body = ",\n".join("    " + json.dumps(row) for row in rows)
+    body = ",\n".join("    " + json.dumps(row, check_circular=False) for row in rows)
     print("\n".join(["{", *fields, f"  {json.dumps(key)}: [", body, "  ]", "}"]))
 
 

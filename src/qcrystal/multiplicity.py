@@ -35,7 +35,6 @@ __all__ = [
     "master_coefficient",
     "residue_block",
     "coefficient_matrix",
-    "entry_via_separation",
     "master_discrepancy",
 ]
 
@@ -299,31 +298,6 @@ def coefficient_matrix(
             row.append(entry)
         rows.append(tuple(row))
     return tuple(rows)
-
-
-def entry_via_separation(j: int, i: int, n: int, order: int) -> QSeries:
-    """Matrix entry rebuilt through the explicit residue-class separation.
-
-    Terms are assembled in the original variable, checked to live in the
-    exponent class of j^2 modulo n, stripped of that residue, and pushed
-    through the checked exponent division q^n -> q.  Must equal the entry
-    produced by `coefficient_matrix`.
-    """
-    residue = (j * j) % n
-    pre_order = n * order + residue
-    pre = QSeries.zero(pre_order)
-    for t, sign, _ in _entry_terms(j, i, n):
-        shift = n * t * (t - 1) // 2 + (t + i) ** 2
-        block_order = -(-(pre_order - shift) // n)
-        term = residue_block(i, t, n, block_order).expand(n).shift(shift).truncate(pre_order)
-        pre = pre + (term if sign > 0 else -term)
-    if not pre.is_zero:
-        for idx, c in enumerate(pre.coeffs):
-            if c and (pre.lowest + idx) % n != residue:
-                raise ValueError(
-                    f"exponent {pre.lowest + idx} escapes class {residue} mod {n}"
-                )
-    return pre.shift(-residue).contract(n)
 
 
 def theta_solution(n: int, order: int, conjecture: bool = False) -> tuple[QSeries, ...]:

@@ -283,20 +283,6 @@ class QSeries:
             out[idx * k] = c
         return QSeries.from_coeffs(out, self.order * k, self.lowest * k)
 
-    def contract(self, k: int) -> "QSeries":
-        """Substitute q^k -> q; every retained exponent must be divisible by k."""
-        if k < 1:
-            raise ValueError("contraction factor must be positive")
-        new_order = -(-self.order // k)
-        if self.is_zero:
-            return QSeries.zero(new_order)
-        for idx, c in enumerate(self.coeffs):
-            if c and (self.lowest + idx) % k != 0:
-                raise ValueError(
-                    f"exponent {self.lowest + idx} is not divisible by {k}"
-                )
-        return QSeries._new(self.lowest // k, list(self.coeffs[::k]), new_order)
-
 
 def _product(a, b, width: int) -> list[int]:
     """The first `width` coefficients of a product of two coefficient

@@ -159,36 +159,62 @@ def _shape_table(n: int, boxes: int) -> tuple[_Bucket, ...]:
     and files it under its box count.  Two shapes of one box count first
     differ at a pair whose multiplicity the previous pair forces, so their
     parts differ there; visiting the larger part first lists every bucket
-    in descending lexicographic order.  A node's color counts are its
-    parent's plus the `mult` rows of length `part` it appends below the
-    parent's rows; equal count vectors share one tuple.
+    in descending lexicographic order.
+
+    A node carries its color counts packed into one integer, one slot of
+    `boxes.bit_length() + 1` bits per color; no color holds more than
+    `boxes` cells, so no slot carries into the next.  The `mult` rows of
+    length `part` that a node appends below its parent's `rows` rows add
+    `part // n` cells of every color per row, plus a block of tail cells
+    that depends only on (part mod n, mult, rows mod n).  Blocks are
+    memoised on first use, by the per-row rule `color_counts` uses; a
+    table of all n^3 of them would dwarf the search at large n.  Each
+    distinct packed value is unpacked once, so equal count vectors share
+    one tuple.
     """
+    width = boxes.bit_length() + 1
+    mask = (1 << width) - 1
+    shifts = range(0, n * width, width)
+    ones = ((1 << n * width) - 1) // mask
     zero = (0,) * n
-    vectors = {zero: zero}
+    vectors = {0: zero}
+    blocks: dict[tuple[int, int, int], int] = {}
     shapes: list[list[Partition]] = [[] for _ in range(boxes + 1)]
     counts: list[list[tuple[int, ...]]] = [[] for _ in range(boxes + 1)]
     shapes[0].append(EMPTY)
     counts[0].append(zero)
 
-    def extend(prefix, top, c, size, rows, vec):
+    def block_of(key):
+        length, mult, rows = key
+        cells = [0] * n
+        for row in range(rows + 1, rows + mult + 1):
+            _add_row(cells, length, row)
+        block = blocks[key] = sum([c << s for c, s in zip(cells, shifts) if c])
+        return block
+
+    def extend(prefix, top, c, size, rows, packed):
         # c = (last part + its multiplicity) mod n forces the next
         # multiplicity, so the search branches on the next part only.
+        phase = rows % n
         for part in range(min(top, boxes - size), 0, -1):
             mult = (part - c) % n
             total = size + part * mult
             if mult == 0 or total > boxes:
                 continue
             pairs = prefix + ((part, mult),)
-            grown = list(vec)
-            for row in range(rows + 1, rows + mult + 1):
-                _add_row(grown, part, row)
-            grown = tuple(grown)
-            grown = vectors.setdefault(grown, grown)
+            key = (part % n, mult, phase)
+            block = blocks.get(key)
+            if block is None:
+                block = block_of(key)
+            grown = packed + part // n * mult * ones + block
+            vec = vectors.get(grown)
+            if vec is None:
+                vec = vectors[grown] = tuple([grown >> s & mask for s in shifts])
             shapes[total].append(Partition(pairs))
-            counts[total].append(grown)
+            counts[total].append(vec)
             extend(pairs, part - 1, (part + mult) % n, total, rows + mult, grown)
 
-    extend((), boxes, 0, 0, 0, zero)
+    extend((), boxes, 0, 0, 0, 0)
     return tuple(zip(map(tuple, shapes), map(tuple, counts)))
 
 

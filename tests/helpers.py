@@ -4,7 +4,7 @@ never calls."""
 
 import functools
 
-from qcrystal.multiplicity import _partition_number, _unpack
+from qcrystal.multiplicity import _entry_terms, _partition_number, _unpack, residue_block
 from qcrystal.qseries import QSeries, theta_f, theta_g
 
 
@@ -90,6 +90,42 @@ def series_to_dict(s) -> dict:
         for idx, c in enumerate(s.coeffs)
         if c
     }
+
+
+def contract(s, k):
+    """Substitute q^k -> q; every retained exponent must be divisible by k."""
+    if k < 1:
+        raise ValueError("contraction factor must be positive")
+    new_order = -(-s.order // k)
+    if s.is_zero:
+        return QSeries.zero(new_order)
+    for idx, c in enumerate(s.coeffs):
+        if c and (s.lowest + idx) % k != 0:
+            raise ValueError(f"exponent {s.lowest + idx} is not divisible by {k}")
+    return QSeries.from_coeffs(s.coeffs[::k], new_order, s.lowest // k)
+
+
+def entry_via_separation(j, i, n, order):
+    """Theta matrix entry rebuilt through the explicit residue-class separation.
+
+    Terms are assembled in the original variable, checked to live in the
+    exponent class of j^2 modulo n, stripped of that residue, and pushed
+    through the checked exponent division q^n -> q.  Must equal the entry
+    produced by `coefficient_matrix`.
+    """
+    residue = (j * j) % n
+    pre_order = n * order + residue
+    pre = QSeries.zero(pre_order)
+    for t, sign, _ in _entry_terms(j, i, n):
+        shift = n * t * (t - 1) // 2 + (t + i) ** 2
+        block_order = -(-(pre_order - shift) // n)
+        term = residue_block(i, t, n, block_order).expand(n).shift(shift).truncate(pre_order)
+        pre = pre + (term if sign > 0 else -term)
+    if not pre.is_zero:
+        for idx, c in enumerate(pre.coeffs):
+            if c and (pre.lowest + idx) % n != residue:
+                raise ValueError(f"exponent {pre.lowest + idx} escapes class {residue} mod {n}")
+    return contract(pre.shift(-residue), n)
 
 
 def colors_by_cell(parts, n):

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -324,3 +325,30 @@ class TestCrossPipeline:
             for entry in payload["entries"]:
                 if entry["i"] == i:
                     assert entry["b"] == series.coeff(entry["k"] - i), entry
+
+
+class TestJsonBytes:
+    """SHA-256 of the whole stdout.  Speed-ups to enumeration and encoding
+    must keep the output byte for byte, so any change to shape order,
+    witnesses, series or formatting fails here."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                "decompose --n 3 --max-k 12 --format json",
+                "d4b666cf24549ff8b7f56e147dbc1081118a9148ebefe7ab1ecf5b122e78b694",
+            ),
+            (
+                "decompose --n 2 --max-k 20 --format json",
+                "9d58f80978f5bdee4d25d85bc6dd4f7ebfd86c12d32f31d9438b6a77ec000c02",
+            ),
+            (
+                "bseries --n 5 --method both --order 40 --format json",
+                "9606ec60e2d7c5ecf1f66212bf4f6ed7382d81cf88f95636fb218842190b6042",
+            ),
+        ],
+    )
+    def test_stdout_is_pinned(self, argv, digest, capsys):
+        assert cli.main(argv.split()) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

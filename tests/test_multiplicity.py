@@ -10,7 +10,6 @@ from qcrystal.multiplicity import (
     coefficient_matrix,
     count_by_component,
     count_maximal_shapes,
-    entry_via_separation,
     gf_comb,
     gf_theta,
     master_coefficient,
@@ -23,7 +22,12 @@ from qcrystal.qseries import QSeries, euler_phi, restricted_partition_gf, theta_
 from qcrystal.weightlat import classify_maximal
 from qcrystal.young import EMPTY, Partition, color_counts, enumerate_maximal_shapes
 
-from helpers import count_distinct_odd, count_table_by_pair_states, multiplicity_table_by_filter
+from helpers import (
+    count_distinct_odd,
+    count_table_by_pair_states,
+    entry_via_separation,
+    multiplicity_table_by_filter,
+)
 
 # Known decomposition table for n=3: multiplicities and witness shapes.
 TABLE_N3_I0 = {

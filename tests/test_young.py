@@ -190,6 +190,49 @@ class TestEnumeration:
                 expected = [color_counts(p, n) for p in shapes]
                 assert list(carried) == expected, (n, boxes, earlier)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_carried_color_counts_across_slot_widths(self, n):
+        # A table of B boxes packs each color into B.bit_length() + 1 bits:
+        # 7 up to 63 boxes, 8 up to 127, 9 from 128.  Each build sizes its
+        # own slots, so the buckets on both sides of each step are checked
+        # in tables built cold and regrown from smaller ones.
+        steps = (
+            (True, 63, 63, (63,)),  # cold, 7-bit slots
+            (False, 64, 71, (63, 64)),  # regrown from 63, 8-bit slots
+            (False, 127, 127, (127,)),  # regrown from 71, 8-bit slots
+            (True, 64, 64, (64,)),  # cold, 8-bit slots
+            (False, 128, 128, (127, 128)),  # regrown from 64, 9-bit slots
+        )
+        for cold, request, size, buckets in steps:
+            if cold:
+                young._shape_tables.clear()
+            enumerate_maximal_shapes(n, request)
+            assert len(young._shape_tables[n]) - 1 == size
+            for boxes in buckets:
+                shapes = enumerate_maximal_shapes(n, boxes)
+                expected = [color_counts(p, n) for p in shapes]
+                assert list(maximal_shape_color_counts(n, boxes)) == expected, (n, boxes, size)
+        young._shape_tables.clear()
+
+    @pytest.mark.parametrize("n, boxes", [(41, 60), (12, 40)])
+    def test_count_blocks_are_filled_lazily(self, n, boxes, monkeypatch):
+        # The search appends `mult` rows per shape, and fills a block of
+        # tail cells only on first use, so it never calls `_add_row` more
+        # often than that.  A memo filled up front would make about n^4 / 2
+        # calls, some 1.4 million for n = 41.
+        calls = 0
+        add_row = young._add_row
+
+        def counting(counts, length, row):
+            nonlocal calls
+            calls += 1
+            add_row(counts, length, row)
+
+        monkeypatch.setattr(young, "_add_row", counting)
+        table = young._shape_table(n, boxes)
+        appended = sum(p.pairs[-1][1] for shapes, _ in table for p in shapes if p.pairs)
+        assert 0 < calls <= appended
+
     def test_equal_color_counts_share_one_tuple(self):
         young._shape_tables.clear()
         by_value = {}
