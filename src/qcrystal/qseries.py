@@ -12,8 +12,8 @@ of the dataclass coincide with coefficient-wise equality at equal order.
 Products pick their algorithm by density: a factor with few nonzero
 coefficients (a theta series) against a denser one is multiplied term by
 term, skipping zeros; other pairs are packed into one big integer each
-(Kronecker substitution) with slots wide enough for a proven coefficient
-bound.
+(Kronecker substitution) with signed slots one bit wider than a proven
+coefficient bound.  Determinants keep their Laplace minors packed too.
 
 Products are exact: when a factor has negative valuation, coefficients of
 the product near the truncation bound would need tail data that a
@@ -22,7 +22,7 @@ the result accordingly instead of fabricating those coefficients.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate
 from math import isqrt
 from operator import add, neg, sub
@@ -316,30 +316,46 @@ def _sparse_product(sparse, dense, width: int) -> list[int]:
 def _packed_product(a, b, width: int) -> list[int]:
     """The first `width` coefficients of a product by Kronecker substitution.
 
-    Each factor becomes one integer with a slot of `nbytes` bytes per
-    coefficient, so the product is one big-integer multiply.  No product
-    coefficient exceeds max|a| * max|b| * min(len a, len b) in magnitude,
-    and the slots are that bound's bit length plus a sign bit wide, so
-    adding half a slot's range to every slot of the product leaves each
-    slot holding its coefficient plus that bias, with no carry between
-    slots.  Factor coefficients are packed the same way, biased and then
-    unbiased in one subtraction.
+    Each factor becomes one integer with a signed slot per coefficient, so
+    the product is one big-integer multiply.  No product coefficient
+    exceeds max|a| * max|b| * min(len a, len b) in magnitude, and the
+    slots are that bound's bit length plus a sign bit wide, so no slot
+    carries into the next.
     """
     bound = max(max(a), -min(a)) * max(max(b), -min(b)) * min(len(a), len(b))
-    nbytes = (bound.bit_length() + 8) // 8
-    bias = 1 << (8 * nbytes - 1)
-    biased_slot = bytes(nbytes - 1) + b"\x80"  # `bias` in one slot
-    to_slot = partial(int.to_bytes, length=nbytes, byteorder="little")
+    slot = bound.bit_length() + 1
+    return _unpack(_pack(a, slot) * _pack(b, slot), slot, width)
 
-    def pack(coeffs) -> int:
-        raw = b"".join(map(to_slot, map(bias.__add__, coeffs)))
-        return int.from_bytes(raw, "little") - int.from_bytes(biased_slot * len(coeffs), "little")
 
-    span = width * nbytes
-    product = pack(a) * pack(b) + int.from_bytes(biased_slot * width, "little")
-    raw = (product & ((1 << (8 * span)) - 1)).to_bytes(span, "little")
-    slots = map(raw.__getitem__, map(slice, range(0, span, nbytes), range(nbytes, span + 1, nbytes)))
-    return list(map((-bias).__add__, map(partial(int.from_bytes, byteorder="little"), slots)))
+def _pack(coeffs, slot: int) -> int:
+    """Sum of coeffs[i] * 2^(slot i), halving down to leaves of 16."""
+    count = len(coeffs)
+    if count <= 16:
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc << slot) + c
+        return acc
+    half = count // 2
+    return _pack(coeffs[:half], slot) + (_pack(coeffs[half:], slot) << slot * half)
+
+
+def _unpack(value: int, slot: int, count: int) -> list[int]:
+    """The first `count` slots of `value`, each in [-2^(slot-1), 2^(slot-1)):
+    biased nonnegative, then halved by shift and mask down to leaves of 16."""
+    half = 1 << (slot - 1)
+    mask = (1 << slot) - 1
+    out: list[int] = []
+
+    def split(v: int, n: int) -> None:
+        if n <= 16:
+            out.extend([(v >> s & mask) - half for s in range(0, slot * n, slot)])
+            return
+        low = n // 2
+        split(v & ((1 << slot * low) - 1), low)
+        split(v >> slot * low, n - low)
+
+    split(value + half * (((1 << slot * count) - 1) // mask), count)
+    return out
 
 
 def first_difference(a: QSeries, b: QSeries) -> tuple[int, int, int] | None:
@@ -573,20 +589,17 @@ def _square_rows(matrix) -> tuple[tuple[QSeries, ...], ...]:
 
 
 def _laplace(rows: tuple[tuple[QSeries, ...], ...]):
-    """Determinant of the trailing rows restricted to a column tuple.
+    """Determinant of the trailing rows restricted to a column tuple, for
+    matrices with an entry of negative valuation.
 
     Laplace expansion along the top remaining row, memoised on the column
-    set, so every minor is computed once: 2^size column sets in all.  The
-    expansion keeps each product a (usually sparse) entry times a minor,
-    which the sparse product path handles.  A one-column minor is the
-    bottom row's entry itself, exact, not that entry times 1 + O(q^order).
-    Every term joins the sum through `_add_product`.  Zero entries and
-    zero minors are skipped only while no entry has negative valuation:
-    below it, O(q^order) times a series of negative valuation still
-    lowers the bound.
+    set, so every minor is computed once: 2^size column sets in all.  A
+    one-column minor is the bottom row's entry itself, exact, not that
+    entry times 1 + O(q^order).  Every term joins the sum through
+    `_add_product`, zero entries and zero minors included: O(q^order)
+    times a series of negative valuation still lowers the bound.
     """
     size, order = len(rows), rows[0][0].order
-    skip_zeros = all(entry.lowest >= 0 for row in rows for entry in row)
     cache: dict[tuple[int, ...], QSeries] = {(): QSeries.one(order)}
     cache.update(((col,), entry) for col, entry in enumerate(rows[-1]))
 
@@ -597,15 +610,61 @@ def _laplace(rows: tuple[tuple[QSeries, ...], ...]):
         row = rows[size - len(cols)]
         acc = QSeries.zero(order)
         for pos, col in enumerate(cols):
-            entry = row[col]
-            if skip_zeros and entry.is_zero:
-                continue
-            sub = minor(cols[:pos] + cols[pos + 1:])
-            if skip_zeros and sub.is_zero:
-                continue
-            acc = _add_product(acc, entry, sub, pos % 2)
+            acc = _add_product(acc, row[col], minor(cols[:pos] + cols[pos + 1:]), pos % 2)
         cache[cols] = acc
         return acc
+
+    return minor
+
+
+def _packed_laplace(rows: tuple[tuple[QSeries, ...], ...]):
+    """`_laplace` for entries of valuation >= 0, each minor of two or more
+    columns one integer with a signed `slot`-bit slot per coefficient, so
+    an entry times a minor is a shift-add per nonzero entry coefficient.
+    A permanent is at most the product of its row sums, so no coefficient
+    of a minor or partial sum exceeds max|bottom row| times the sum of
+    |coefficients| of each row between row 0 and the bottom: the slot is
+    that bound's bit length plus a sign bit.
+    """
+    size, order = len(rows), rows[0][0].order
+    bottom = rows[-1]
+    bound = max(max(map(abs, entry.coeffs), default=0) for entry in bottom)
+    for row in rows[1:-1]:
+        bound *= max(1, sum(sum(map(abs, entry.coeffs)) for entry in row))
+    slot = bound.bit_length() + 1
+    window = 1 << slot * order
+    # (bit shift, coefficient) per nonzero coefficient of rows 1..size-2
+    terms = [
+        [[(slot * (entry.lowest + i), c) for i, c in enumerate(entry.coeffs) if c] for entry in row]
+        for row in rows[1:-1]
+    ]
+    packed = {1 << col: _pack(entry.coefficient_list(), slot) for col, entry in enumerate(bottom)} if size > 2 else {}
+
+    def expand(cols: int) -> int:  # the minor on a column bit mask, memoised
+        row = terms[size - 1 - cols.bit_count()]
+        acc, sign, rest = 0, 1, cols
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            shifts = row[bit.bit_length() - 1]
+            if shifts:
+                sub = packed.get(cols ^ bit)
+                if sub is None:
+                    sub = expand(cols ^ bit)
+                if sub:
+                    for shift, c in shifts:
+                        acc += sign * c * sub << shift
+            sign = -sign
+        acc &= window - 1  # mod q^order, then re-centred
+        if acc >= window >> 1:
+            acc -= window
+        packed[cols] = acc
+        return acc
+
+    def minor(cols: tuple[int, ...]) -> QSeries:
+        if len(cols) < 2:
+            return bottom[cols[0]] if cols else QSeries.one(order)
+        return QSeries._new(0, _unpack(expand(sum(1 << col for col in cols)), slot, order), order)
 
     return minor
 
@@ -650,7 +709,9 @@ def cofactors(matrix) -> tuple[QSeries, ...]:
 
 @lru_cache(maxsize=1)
 def _cofactors(rows: tuple[tuple[QSeries, ...], ...]) -> tuple[QSeries, ...]:
-    minor = _laplace(rows)
+    # below order 1 every entry is zero and there is no slot to pack
+    packable = rows[0][0].order > 0 and all(entry.lowest >= 0 for row in rows for entry in row)
+    minor = (_packed_laplace if packable else _laplace)(rows)
     cols = tuple(range(len(rows)))
     out = []
     for i in cols:

@@ -38,10 +38,46 @@ from helpers import (
 )
 
 
-def rand_series(rng, order, max_lowest=3, min_lowest=0):
+def rand_series(rng, order, max_lowest=3, min_lowest=0, magnitude=9):
     lowest = rng.randint(min_lowest, max_lowest)
-    coeffs = [rng.randint(-9, 9) for _ in range(order - lowest)]
+    coeffs = [rng.randint(-magnitude, magnitude) for _ in range(order - lowest)]
     return QSeries.from_coeffs(coeffs, order, lowest)
+
+
+def rand_matrix(rng, size, order, max_lowest, min_lowest=0, magnitude=9, zero_share=0.0, zero_row=None):
+    """Random square matrix; an entry is zero with probability `zero_share`,
+    and every entry of row `zero_row` is."""
+    return [
+        [
+            QSeries.zero(order)
+            if r == zero_row or (zero_share and rng.random() < zero_share)
+            else rand_series(rng, order, min(max_lowest, order), min_lowest, magnitude)
+            for _ in range(size)
+        ]
+        for r in range(size)
+    ]
+
+
+def leibniz_det(dicts, reach):
+    """Sum over permutations of signed products of exponent->coefficient
+    maps, truncated at `reach`: independent of the library's multiply and
+    of its Laplace memo."""
+    size = len(dicts)
+    out: dict[int, int] = {}
+    for perm in itertools.permutations(range(size)):
+        sign = 1
+        for i in range(size):
+            for j in range(i + 1, size):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = {0: sign}
+        for row, col in enumerate(perm):
+            term = naive_series_mul(term, dicts[row][col], reach)
+            if not term:
+                break
+        for e, c in term.items():
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
 
 
 class TestRepresentation:
@@ -238,6 +274,38 @@ class TestProductProperties:
         assert paths == ["_sparse_product" if sparse_path else "_packed_product"]
         assert product.coefficient_list() == expected
         assert series_to_dict(product) == naive_series_mul(series_to_dict(a), series_to_dict(b), order)
+
+    @pytest.mark.parametrize(
+        "window, length, m, m2, bits",
+        [
+            (window, *factors)
+            for window in (1, 15, 16, 17, 33)
+            for factors in (
+                (1, 1, 1, 1),
+                (1, 15, 17, 8),
+                (15, 1, 17, 8),
+                (1, 255, 257, 16),
+                (15, 17, 257, 16),
+                (15, (2**34 - 1) // 3, (2**34 + 1) // 5, 68),
+                (1, 2**35 - 1, 2**35 + 1, 70),
+            )
+            if factors[0] <= window
+        ],
+    )
+    @pytest.mark.parametrize("signs", ["plus", "minus", "alternating"])
+    def test_packed_product_at_the_slot_bound(self, window, length, m, m2, bits, signs):
+        # `length` coefficients m against `window` coefficients +-m2, with
+        # length * m * m2 = 2^bits - 1: the product's bound, so the slot is
+        # bits + 1 wide and, from exponent length - 1 on, a slot holds
+        # +-(2^(slot - 1) - 1) (both signs at once for length 1 alternating).
+        assert length * m * m2 == 2**bits - 1
+        a = [m] * length
+        b = [m2 * (-1 if signs == "minus" or (signs == "alternating" and j % 2) else 1) for j in range(window)]
+        got = qseries._packed_product(a, b, window)
+        assert len(got) == window
+        assert {e: c for e, c in enumerate(got) if c} == naive_series_mul(dict(enumerate(a)), dict(enumerate(b)), window)
+        if signs != "alternating" or length == 1:
+            assert max(map(abs, got)) == 2**bits - 1
 
 
 class TestInversion:
@@ -692,6 +760,10 @@ class TestDeterminant:
         c = QSeries.from_coeffs([0, 1], 20)
         d2 = QSeries.from_coeffs([1, -1], 20)
         assert det([[a, b], [c, d2]]) == a * d2 - b * c
+        for order in (-1, 0):
+            zeros = [[QSeries.zero(order)] * 3 for _ in range(3)]
+            assert det(zeros) == QSeries.zero(order)
+            assert cofactors(zeros) == (QSeries.zero(order),) * 3
 
     def test_negative_valuation_lowers_the_bound(self):
         # (q^-1 + 2 + 3 q + O(q^3)) * (1 + O(q^3)) is only known below q^2.
@@ -717,57 +789,75 @@ class TestDeterminant:
         )
         assert det(mat) == expected
 
-    @pytest.mark.parametrize("size, order, min_lowest", [(7, 6, 0), (5, 16, -2)])
-    def test_against_permutation_sum(self, size, order, min_lowest):
-        # Leibniz formula with dictionary products, independent of the
-        # library's multiply and of its Laplace memo.  A factor is known
-        # on [lowest, order) (a zero one on everything below order), so a
-        # term of factors with lowests l_1..l_size is known below
-        # order + sum(l) - max(l); partial products keep every exponent a
-        # later factor can bring below order.
+    @pytest.mark.parametrize(
+        "size, order, min_lowest, magnitude, zero_share, zero_row",
+        [
+            pytest.param(7, 6, 0, 9, 0, None, id="7-6-0"),
+            pytest.param(5, 16, -2, 9, 0, None, id="5-16--2"),
+            # Valuation >= 0 runs the packed expansion from size 3 on; the
+            # comments give its slot width in bits.
+            (1, 40, 0, 9, 0, None),
+            (2, 40, 0, 2**70, 0.3, None),
+            (3, 1, 0, 3, 0, None),  # 5
+            (4, 3, 0, 1, 0, None),  # 7
+            (3, 40, 0, 9, 0.3, None),  # 12
+            (5, 12, 0, 1, 0.5, None),  # 15
+            (4, 12, 0, 9, 0, 0),  # 21; a zero row 0, under nonzero cofactors
+            (4, 12, 0, 9, 0, 3),  # 1; a zero bottom row
+            (5, 12, 0, 9, 0.2, 2),  # 21; a zero middle row
+            (6, 8, 0, 2**9, 0.2, None),  # 63
+            (6, 8, 0, 2**10, 0.2, None),  # 68
+            (3, 17, 0, 2**70, 0, None),  # 146
+            (4, 25, 0, 2**70, 0.3, None),  # 220
+            (7, 3, 0, 2**70, 0.3, None),  # 432
+        ],
+    )
+    def test_against_permutation_sum(self, size, order, min_lowest, magnitude, zero_share, zero_row):
+        # A factor is known on [lowest, order) (a zero one on everything
+        # below order), so a term of factors with lowests l_1..l_size is
+        # known below order + sum(l) - max(l); partial products keep every
+        # exponent a later factor can bring below order.
         rng = random.Random(7)
-        mat = [
-            [rand_series(rng, order, max_lowest=2, min_lowest=min_lowest) for _ in range(size)]
-            for _ in range(size)
-        ]
+        mat = rand_matrix(rng, size, order, 2, min_lowest, magnitude, zero_share, zero_row)
         dicts = [[series_to_dict(entry) for entry in row] for row in mat]
-        lowests = [[entry.order if entry.is_zero else entry.lowest for entry in row] for row in mat]
-        reach = order - size * min_lowest
-        expected: dict[int, int] = {}
-        known = reach
-        for perm in itertools.permutations(range(size)):
-            sign = 1
-            for i in range(size):
-                for j in range(i + 1, size):
-                    if perm[i] > perm[j]:
-                        sign = -sign
-            factor_lowests = [lowests[row][col] for row, col in enumerate(perm)]
-            known = min(known, order + sum(factor_lowests) - max(factor_lowests))
-            term = {0: sign}
-            for row, col in enumerate(perm):
-                term = naive_series_mul(term, dicts[row][col], reach)
-                if not term:
-                    break
-            for e, c in term.items():
-                expected[e] = expected.get(e, 0) + c
         got = det(mat)
         if min_lowest == 0:
             assert got.order == order
-            assert series_to_dict(got) == {e: c for e, c in expected.items() if c}
+            assert series_to_dict(got) == leibniz_det(dicts, order)
+            cof = cofactors(mat)
+            for i in range(size):
+                minor = [row[:i] + row[i + 1:] for row in dicts[1:]]
+                expected = leibniz_det(minor, order) if minor else {0: 1}
+                assert series_to_dict(cof[i]) == {e: (-1) ** i * c for e, c in expected.items()}, i
+                assert cof[i].order == order
             return
+        lowests = [[entry.order if entry.is_zero else entry.lowest for entry in row] for row in mat]
+        known = min(
+            order + sum(ls) - max(ls)
+            for ls in ([lowests[row][col] for row, col in enumerate(perm)] for perm in itertools.permutations(range(size)))
+        )
+        expected = leibniz_det(dicts, order - size * min_lowest)
         # Laplace keeps a k-row minor known below order + (k - 1) * v, v the
         # least valuation of any entry; no expansion knows more than Leibniz.
         least = min(entry.lowest for row in mat for entry in row if not entry.is_zero)
         assert order + (size - 1) * least <= got.order <= known
         assert got.lowest < 0
-        assert series_to_dict(got) == {e: c for e, c in expected.items() if c and e < got.order}
+        assert series_to_dict(got) == {e: c for e, c in expected.items() if e < got.order}
 
-    @pytest.mark.parametrize("min_lowest", [0, -2])
-    def test_cofactors_expand_the_determinant(self, min_lowest):
+    @pytest.mark.parametrize(
+        "min_lowest, order, magnitude, zero_share",
+        [
+            pytest.param(0, 12, 9, 0, id="0"),
+            pytest.param(-2, 12, 9, 0, id="-2"),
+            (0, 1, 2**70, 0.3),
+            (0, 40, 2**70, 0.3),
+            (0, 25, 1, 0.5),
+        ],
+    )
+    def test_cofactors_expand_the_determinant(self, min_lowest, order, magnitude, zero_share):
         rng = random.Random(8)
-        order = 12
         for size in (1, 2, 4, 7):
-            mat = [[rand_series(rng, order, min_lowest=min_lowest) for _ in range(size)] for _ in range(size)]
+            mat = rand_matrix(rng, size, order, 3, min_lowest, magnitude, zero_share)
             cof = cofactors(mat)
             # Each product at the bound of its own equal-order factors,
             # which is never above the one `det` reaches.
@@ -785,27 +875,63 @@ class TestDeterminant:
                 minor = [row[:1] + row[2:] for row in mat[1:]]
                 assert cof[1] == -det(minor)
 
+    @pytest.mark.parametrize("size, slot", [(s, w) for s in (3, 4, 7) for w in (7, 8, 9, 16, 17, 64, 65, 141) if w > s])
+    @pytest.mark.parametrize("top, sign", [(False, 1), (False, -1), (True, 1), (True, -1)])
+    def test_packed_cofactor_at_the_slot_bound(self, size, slot, top, sign):
+        # Row r >= 1 of a diagonal matrix holds d_r q^(e_r), so cofactor 0
+        # is the one product prod d_r q^(sum e_r).  It meets the slot bound,
+        # max|bottom| times the sums of the middle rows, exactly: it is
+        # +-3 * 2^(slot - 3), which needs `slot` signed bits, so a slot one
+        # bit narrower cannot hold it.
+        order = 30
+        diag = [2] * (size - 2) + [sign * 3 << (slot - 1 - size)]
+        # the product lands on the window's last slot, or inside it
+        spread = order - 1 if top else order // 2
+        exps = [spread // (size - 1) + (r < spread % (size - 1)) for r in range(size - 1)]
+        mat = [[QSeries.one(order)] + [QSeries.zero(order)] * (size - 1)]
+        for r, (d, e) in enumerate(zip(diag, exps), start=1):
+            mat.append([QSeries.monomial(d, e, order) if col == r else QSeries.zero(order) for col in range(size)])
+        cof = cofactors(mat)
+        assert cof[0] == QSeries.monomial(sign * 3 << (slot - 3), spread, order)
+        assert all(c.is_zero for c in cof[1:])
+        assert det(mat) == cof[0]
+
     def test_one_expansion_per_matrix(self, monkeypatch):
         built = []
-        real = qseries._laplace
-
-        def counting(rows):
-            built.append(rows)
-            return real(rows)
-
-        monkeypatch.setattr(qseries, "_laplace", counting)
+        for name in ("_laplace", "_packed_laplace"):
+            real = getattr(qseries, name)
+            monkeypatch.setattr(qseries, name, lambda rows, _real=real, _name=name: built.append(_name) or _real(rows))
         qseries._cofactors.cache_clear()
         rng = random.Random(9)
         first, second = ([[rand_series(rng, 10) for _ in range(4)] for _ in range(4)] for _ in range(2))
         d = det(first)
         assert cofactors([list(row) for row in first]) == cofactors(first)
-        assert len(built) == 1
+        assert built == ["_packed_laplace"]
         c = cofactors(second)
         assert det(second) == sum((e * x for e, x in zip(second[0], c)), QSeries.zero(10))
-        assert len(built) == 2
+        assert built == ["_packed_laplace"] * 2
         assert qseries._cofactors.cache_info().currsize == 1
         assert det(first) == d
-        assert len(built) == 3
+        assert built == ["_packed_laplace"] * 3
+        # An entry of negative valuation sends the matrix through `_laplace`,
+        # also once for `det` and `cofactors` together.
+        third = [[rand_series(rng, 10, min_lowest=-2) for _ in range(4)] for _ in range(4)]
+        det(third)
+        cofactors(third)
+        assert built == ["_packed_laplace"] * 3 + ["_laplace"]
+
+    def test_two_by_two_packs_nothing(self, monkeypatch):
+        # The cofactors of a 2 x 2 matrix are its bottom entries themselves.
+        def forbidden(*args):
+            raise AssertionError("packed a 2 x 2 matrix")
+
+        rng = random.Random(10)
+        mat = [[rand_series(rng, 30) for _ in range(2)] for _ in range(2)]
+        expected = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
+        monkeypatch.setattr(qseries, "_pack", forbidden)
+        qseries._cofactors.cache_clear()
+        assert cofactors(mat) == (mat[1][1], -mat[1][0])
+        assert det(mat) == expected
 
     def test_rejects_bad_shapes(self):
         a = QSeries.one(5)
