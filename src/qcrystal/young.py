@@ -8,6 +8,7 @@ decrease down a column.
 
 from dataclasses import dataclass
 from math import isqrt
+from operator import index
 
 __all__ = [
     "Partition",
@@ -21,7 +22,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Partition:
     """Decreasing integer partition stored as (part, multiplicity) pairs.
 
@@ -35,7 +36,7 @@ class Partition:
     def __post_init__(self):
         prev = None
         for part, mult in self.pairs:
-            if part < 1 or mult < 1:
+            if index(part) < 1 or index(mult) < 1:
                 raise ValueError(f"invalid (part, multiplicity) pair ({part}, {mult})")
             if prev is not None and part >= prev:
                 raise ValueError("parts must be strictly decreasing")
@@ -44,7 +45,7 @@ class Partition:
     @classmethod
     def from_parts(cls, parts) -> "Partition":
         """Normalize a flat iterable of positive parts, given in any order."""
-        flat = sorted((int(p) for p in parts), reverse=True)
+        flat = sorted(map(index, parts), reverse=True)
         pairs: list[tuple[int, int]] = []
         for p in flat:
             if pairs and pairs[-1][0] == p:
@@ -171,7 +172,14 @@ def _shape_table(n: int, boxes: int) -> tuple[_Bucket, ...]:
     table of all n^3 of them would dwarf the search at large n.  Each
     distinct packed value is unpacked once, so equal count vectors share
     one tuple.
+
+    Shapes are built without `Partition`'s validation, which would only
+    re-check what the search guarantees: parts come strictly decreasing
+    from `range(..., 0, -1)` below the previous part, and a zero
+    multiplicity is skipped, so each lies in 1..n-1.  A node with part 1
+    or `boxes` cells has no children and is not searched.
     """
+    new, set_pairs = object.__new__, Partition.pairs.__set__
     width = boxes.bit_length() + 1
     mask = (1 << width) - 1
     shifts = range(0, n * width, width)
@@ -210,9 +218,12 @@ def _shape_table(n: int, boxes: int) -> tuple[_Bucket, ...]:
             vec = vectors.get(grown)
             if vec is None:
                 vec = vectors[grown] = tuple([grown >> s & mask for s in shifts])
-            shapes[total].append(Partition(pairs))
+            shape = new(Partition)
+            set_pairs(shape, pairs)
+            shapes[total].append(shape)
             counts[total].append(vec)
-            extend(pairs, part - 1, (part + mult) % n, total, rows + mult, grown)
+            if part > 1 and total < boxes:
+                extend(pairs, part - 1, (part + mult) % n, total, rows + mult, grown)
 
     extend((), boxes, 0, 0, 0, 0)
     return tuple(zip(map(tuple, shapes), map(tuple, counts)))

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import pytest
 
 from qcrystal import young
@@ -44,6 +47,25 @@ class TestPartition:
             Partition(((2, 0),))
         with pytest.raises(ValueError):
             Partition(((0, 1),))
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, "2", None])
+    def test_non_integer_parts_rejected(self, bad):
+        with pytest.raises(TypeError):
+            Partition(((bad, 1),))
+        with pytest.raises(TypeError):
+            Partition(((3, 1), (1, bad)))
+        with pytest.raises(TypeError):
+            Partition.from_parts([bad, 1])
+
+    def test_value_type(self):
+        p = P(3, 1)
+        assert not hasattr(p, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.pairs = ((2, 1),)
+        assert EMPTY == Partition()
+        assert hash(EMPTY) == hash(Partition())
+        assert repr(p) == "Partition(pairs=((3, 1), (1, 1)))"
+        assert pickle.loads(pickle.dumps(p)) == p
 
     def test_str(self):
         assert str(P(5, 5, 2)) == "(5^2,2)"
@@ -144,6 +166,18 @@ class TestEnumeration:
                 assert flats == sorted(flats, reverse=True)
                 assert all(is_maximal_shape(p, n) for p in members)
                 assert all(p.boxes == boxes for p in members)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_unvalidated_shapes_pass_validation(self, n):
+        # The search builds shapes without `Partition`'s own check; every
+        # one must pass it and equal its validated copy.
+        young._shape_tables.clear()
+        for boxes in range(61):
+            for p in enumerate_maximal_shapes(n, boxes):
+                assert type(p) is Partition
+                checked = Partition(p.pairs)
+                assert checked == p and hash(checked) == hash(p), (n, boxes, p)
+                assert is_maximal_shape(p, n), (n, boxes, p)
 
     def test_counts_reproduce_table_columns(self):
         b0 = [len(enumerate_maximal_shapes(3, 3 * k)) for k in range(8)]
