@@ -1,9 +1,10 @@
 """Command-line surface: decompose, bseries, verify.
 
-Exit codes: 0 success, 1 identity failure, 2 usage error or any other
-rejected input, 3 theta pipeline requested for an unsupported modulus without
---conjecture.  The QSERIES_ORDER environment variable supplies a default
-truncation order (at least 1) when --order is absent.
+Exit codes: 0 success, 1 identity failure, 2 usage error, any other
+rejected input or a request too large to compute, 3 theta pipeline
+requested for an unsupported modulus without --conjecture.  The
+QSERIES_ORDER environment variable supplies a default truncation order
+(at least 1) when --order is absent.
 """
 
 import argparse
@@ -287,8 +288,11 @@ def main(argv=None) -> int:
     except UnsupportedModulusError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'not enough memory for this request'}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:
         return EXIT_OK

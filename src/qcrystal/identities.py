@@ -137,10 +137,9 @@ def check_lemma_5_4(order: int) -> IdentityReport:
         return _report("lemma5.4[det]", order, diff)
 
     vanishing = qs.theta_g(0, 15, order)
-    product = qs.theta_g(5, 10, order) * vanishing
-    if not vanishing.is_zero or not product.is_zero:
-        e = vanishing.lowest if not vanishing.is_zero else product.lowest
-        return _report("lemma5.4[zero-term]", order, (e, 0, 1))
+    if not vanishing.is_zero:
+        e = vanishing.lowest
+        return _report("lemma5.4[zero-term]", order, (e, vanishing.coeff(e), 0))
 
     def shifted(series: QSeries, by: int) -> QSeries:
         return series.shift(by).truncate(order)
@@ -150,7 +149,7 @@ def check_lemma_5_4(order: int) -> IdentityReport:
         - shifted(qs.theta_g(4, 11, order) * qs.theta_g(3, 12, order), 1)
         - shifted(qs.theta_g(1, 14, order) * qs.theta_g(3, 12, order), 2)
         - shifted(qs.theta_g(6, 9, order) * qs.theta_g(2, 13, order), 1)
-        + shifted(qs.theta_g(5, 10, order) * qs.theta_g(0, 15, order), 2)
+        + shifted(qs.theta_g(5, 10, order) * vanishing, 2)
     )
     diff = qs.first_difference(expansion, phi_sq)
     if diff is not None:

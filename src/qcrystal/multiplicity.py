@@ -320,11 +320,9 @@ def _theta_solve(n: int, order: int, conjecture: bool) -> tuple[QSeries, ...]:
     One determinant, one inverse and one row of cofactors serve every
     component, from one Laplace expansion: `qs.det` is the row-0 sum over
     the cofactors, which `qs.cofactors` then returns from its cache.  The
-    rescaled determinant is dense, with slowly growing coefficients (it is
-    observed, not proven, to be phi(q)^ceil(n/2), times phi(q^2) for even
-    n), so `invert` takes a short term-recurrence prefix and then Newton
-    steps on the packed product; sparse ones, such as n = 5's, stay on
-    the recurrence.  A row entry below its row's power of q, or a rescaled determinant
+    rescaled determinant is observed, not proven, to be phi(q)^ceil(n/2),
+    times phi(q^2) for even n; `QSeries.invert` picks its own method for
+    it.  A row entry below its row's power of q, or a rescaled determinant
     without constant term +-1, raises `NonUnitDeterminantError`; no n in
     2..41, conjectured moduli included, does.
     """

@@ -392,37 +392,27 @@ def _div_binomial_inplace(window: list[int], exponent: int) -> None:
             window[s:s + exponent] = map(add, window[s:s + exponent], window[s - exponent:s])
 
 
+# The stride-1 product at the largest order any request has needed so far.
+_phi_base = QSeries.one(1)
+
+
 def euler_phi(order: int, stride: int = 1) -> QSeries:
     """Product of (1 - q^(stride * j)) over j >= 1, truncated.
 
-    The eight most recently requested (order, stride) pairs are cached;
-    the result is immutable, so callers share it.
+    Each request is a truncation of one stride-1 base, substituted
+    q -> q^stride when stride > 1.  Both steps are exact: factors
+    (1 - q^j) with j >= N are 1 mod q^N, and q -> q^stride is a ring map.
+    The base grows only when a request needs more of it than any before.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
     if stride < 1:
         raise ValueError("stride must be positive")
-    return _euler_phi(order, stride)
-
-
-# The stride-1 product at the largest order any request has needed so far.
-_phi_base = QSeries.one(1)
-
-
-@lru_cache(maxsize=8)
-def _euler_phi(order: int, stride: int) -> QSeries:
-    """A truncation of the stride-1 base, substituted q -> q^stride.
-
-    Both steps are exact: factors (1 - q^j) with j >= N are 1 mod q^N, and
-    q -> q^stride is a ring map.  The base grows only when a request needs
-    more of it than any before.
-    """
     global _phi_base
     need = -(-order // stride)
-    base = _phi_base
-    if need > base.order:
-        base = _phi_base = _euler_product(need)
-    phi = base.truncate(need)
+    if need > _phi_base.order:
+        _phi_base = _euler_product(need)
+    phi = _phi_base.truncate(need)
     return phi if stride == 1 else phi.expand(stride).truncate(order)
 
 
@@ -548,7 +538,7 @@ def _triple_product(r: int, s: int, order: int, sign: int) -> QSeries:
     t = r + s
     # The (1 - q^(jt)) family is the Euler product at stride t; the two odd
     # families (1 + sign q^(jt - r)) and (1 + sign q^(jt - s)) go in here.
-    window = list(_euler_phi(order, t).coeffs)
+    window = list(euler_phi(order, t).coeffs)
     starts = [t - r, t - s]
     if 0 in starts:
         # Degenerate factor (1 + sign): doubles the series or kills it.

@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from qcrystal import cli, identities
+from qcrystal import cli, identities, qseries
 from qcrystal.multiplicity import multiplicity_table
+from qcrystal.qseries import QSeries
 from qcrystal.young import Partition
 
 
@@ -182,6 +183,22 @@ class TestVerify:
         assert code == 2
         err = capsys.readouterr().err
         assert err.strip().splitlines() == ["error: order too large for this check"]
+
+    def test_order_too_large_to_index_exits_2(self):
+        result = run_cli("verify", "--identity", "lemma5.3", "--order", str(10**20))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
+
+    def test_out_of_memory_exits_2(self, monkeypatch, capsys):
+        def exhausted(order):
+            raise MemoryError
+
+        monkeypatch.setattr(qseries, "_euler_product", exhausted)
+        monkeypatch.setattr(qseries, "_phi_base", QSeries.one(1))
+        code = cli.main(["verify", "--identity", "lemma5.3", "--order", "5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == ["error: not enough memory for this request"]
 
     def test_failure_exits_1(self, monkeypatch, capsys):
         def fake_check(order):

@@ -113,6 +113,21 @@ class TestSeriesChecks:
         assert exponent == e
         assert lhs - rhs == 1
 
+    def test_lemma_5_4_reports_a_nonvanishing_zero_term_where_it_starts(self, monkeypatch):
+        # The n = 3 determinant never reads theta_g(0, 15), so only the
+        # zero-term check sees the stand-in, and reports its own values.
+        real = qseries.theta_g
+
+        def nonvanishing(r, s, order):
+            if (r, s) == (0, 15):
+                return QSeries.from_coeffs([-4, 0, 9], order, lowest=7)
+            return real(r, s, order)
+
+        monkeypatch.setattr(qseries, "theta_g", nonvanishing)
+        report = check_lemma_5_4(60)
+        assert report.name == "lemma5.4[zero-term]"
+        assert report.first_discrepancy == (7, -4, 0)
+
 
 class TestCountingIdentities:
     def test_known_values(self):

@@ -482,22 +482,23 @@ class TestEulerProducts:
     def test_order_one(self):
         assert euler_phi(1) == QSeries.one(1)
 
-    def test_cache_is_bounded_and_shared(self):
-        qseries._euler_phi.cache_clear()
+    def test_cache_is_bounded_and_shared(self, base_builds):
+        # The one cache is the stride-1 base: every (order, stride) request
+        # reads it, and bad arguments are rejected before it is touched.
         for bad in ((0,), (-3, 1), (5, 0), (5, -2)):
             with pytest.raises(ValueError):
                 euler_phi(*bad)
-        assert qseries._euler_phi.cache_info().currsize == 0
-        assert euler_phi(50) is euler_phi(50, 1) is euler_phi(50, stride=1)
-        assert qseries._euler_phi.cache_info().currsize == 1
+        assert base_builds == [] and qseries._phi_base == QSeries.one(1)
+        assert euler_phi(50) == euler_phi(50, 1) == euler_phi(50, stride=1)
+        assert base_builds == [50]
         for order in range(1, 20):
             euler_phi(order, stride=1 + order % 3)
-        assert qseries._euler_phi.cache_info().currsize <= 8
+        assert base_builds == [50] and qseries._phi_base.order == 50
 
     @pytest.fixture
     def base_builds(self, monkeypatch):
-        """An empty cache and a stride-1 base of order 1, with every base
-        build recorded by its order."""
+        """A stride-1 base of order 1, with every base build recorded by
+        its order."""
         builds = []
         real = qseries._euler_product
 
@@ -507,9 +508,7 @@ class TestEulerProducts:
 
         monkeypatch.setattr(qseries, "_euler_product", counting)
         monkeypatch.setattr(qseries, "_phi_base", QSeries.one(1))
-        qseries._euler_phi.cache_clear()
-        yield builds
-        qseries._euler_phi.cache_clear()
+        return builds
 
     @pytest.mark.parametrize("arrangement", ["ascending", "descending", "shuffled"])
     def test_matches_binomial_oracle_in_any_request_order(self, base_builds, arrangement):
@@ -542,7 +541,6 @@ class TestEulerProducts:
         assert base_builds == [1200]
         kept = [name for name, value in vars(qseries).items() if isinstance(value, QSeries)]
         assert kept == ["_phi_base"] and qseries._phi_base.order == 1200
-        assert qseries._euler_phi.cache_info().currsize <= 8
 
     def test_folded_product_matches_binomial_oracle_at_every_order(self):
         # Orders of both parities, each with its own fold point ceil(N/2).
