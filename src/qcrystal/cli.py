@@ -56,12 +56,22 @@ def _resolve_order(args, sources: tuple[str, ...], default: int) -> int:
 
 def _print_json_rows(head: dict, key: str, rows) -> None:
     """Print `head` plus a `key` list as one indented JSON object, with
-    each row of the list compact on its own line.  Rows are trees of
-    lists, tuples and dicts without cycles, so they are encoded without the
-    cycle check, which would record every container on the way down."""
-    fields = [f"  {json.dumps(name)}: {json.dumps(value)}," for name, value in head.items()]
-    body = ",\n".join("    " + json.dumps(row, check_circular=False) for row in rows)
-    print("\n".join(["{", *fields, f"  {json.dumps(key)}: [", body, "  ]", "}"]))
+    each row of the list compact on its own line.  Each row is written as
+    soon as it is encoded, so the whole body is never held as one string.
+    Rows are trees of lists, tuples and dicts without cycles, so one
+    encoder serves every row without the cycle check, which would record
+    every container on the way down."""
+    encode = json.JSONEncoder(check_circular=False).encode
+    write = sys.stdout.write
+    write("{\n")
+    for name, value in head.items():
+        write(f"  {encode(name)}: {encode(value)},\n")
+    write(f"  {encode(key)}: [\n")
+    separator = "    "
+    for row in rows:
+        write(separator + encode(row))
+        separator = ",\n    "
+    write("\n  ]\n}\n")
 
 
 # -- decompose --------------------------------------------------------------

@@ -6,6 +6,7 @@ color (c - r) mod n; colors increase left to right along a row and
 decrease down a column.
 """
 
+import gc
 from dataclasses import dataclass
 from math import isqrt
 from operator import index
@@ -178,6 +179,13 @@ def _shape_table(n: int, boxes: int) -> tuple[_Bucket, ...]:
     from `range(..., 0, -1)` below the previous part, and a zero
     multiplicity is skipped, so each lies in 1..n-1.  A node with part 1
     or `boxes` cells has no children and is not searched.
+
+    A node makes one object of its own besides its shape: its `pairs`,
+    the parent's plus a one-pair tail that is memoised per (part, mult),
+    so equal last pairs are one object across the table.  Both memos are
+    keyed by one int.  Every shape, pair and tail the search makes stays
+    alive in the table, so the cyclic collector is paused meanwhile: its
+    passes would free nothing.
     """
     new, set_pairs = object.__new__, Partition.pairs.__set__
     width = boxes.bit_length() + 1
@@ -186,14 +194,14 @@ def _shape_table(n: int, boxes: int) -> tuple[_Bucket, ...]:
     ones = ((1 << n * width) - 1) // mask
     zero = (0,) * n
     vectors = {0: zero}
-    blocks: dict[tuple[int, int, int], int] = {}
+    tails: dict[int, tuple[tuple[int, int]]] = {}
+    blocks: dict[int, int] = {}
     shapes: list[list[Partition]] = [[] for _ in range(boxes + 1)]
     counts: list[list[tuple[int, ...]]] = [[] for _ in range(boxes + 1)]
     shapes[0].append(EMPTY)
     counts[0].append(zero)
 
-    def block_of(key):
-        length, mult, rows = key
+    def block_of(key, length, mult, rows):
         cells = [0] * n
         for row in range(rows + 1, rows + mult + 1):
             _add_row(cells, length, row)
@@ -209,11 +217,14 @@ def _shape_table(n: int, boxes: int) -> tuple[_Bucket, ...]:
             total = size + part * mult
             if mult == 0 or total > boxes:
                 continue
-            pairs = prefix + ((part, mult),)
-            key = (part % n, mult, phase)
+            tail = tails.get(part * n + mult)
+            if tail is None:
+                tail = tails[part * n + mult] = ((part, mult),)
+            pairs = prefix + tail
+            key = (part % n * n + mult) * n + phase
             block = blocks.get(key)
             if block is None:
-                block = block_of(key)
+                block = block_of(key, part % n, mult, phase)
             grown = packed + part // n * mult * ones + block
             vec = vectors.get(grown)
             if vec is None:
@@ -225,7 +236,13 @@ def _shape_table(n: int, boxes: int) -> tuple[_Bucket, ...]:
             if part > 1 and total < boxes:
                 extend(pairs, part - 1, (part + mult) % n, total, rows + mult, grown)
 
-    extend((), boxes, 0, 0, 0, 0)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        extend((), boxes, 0, 0, 0, 0)
+    finally:
+        if collecting:
+            gc.enable()
     return tuple(zip(map(tuple, shapes), map(tuple, counts)))
 
 

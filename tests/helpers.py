@@ -3,6 +3,7 @@ library's own algorithms, and checks of series laws the library itself
 never calls."""
 
 import functools
+import json
 
 from qcrystal.multiplicity import _entry_terms, _partition_number, _unpack, residue_block
 from qcrystal.qseries import QSeries, theta_f, theta_g
@@ -325,3 +326,11 @@ def distinct_odd_sum_form_by_loops(i, order):
             acc[exponent + t] += inv[t]
         m += 1
     return QSeries.from_coeffs(acc, order)
+
+
+def print_json_rows_joined(head, key, rows):
+    """The CLI's indented JSON layout built as one string: `head` fields,
+    then the `key` list with each row compact on its own line."""
+    fields = [f"  {json.dumps(name)}: {json.dumps(value)}," for name, value in head.items()]
+    body = ",\n".join("    " + json.dumps(row) for row in rows)
+    print("\n".join(["{", *fields, f"  {json.dumps(key)}: [", body, "  ]", "}"]))

@@ -1,15 +1,20 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcrystal import cli, identities, qseries
 from qcrystal.multiplicity import multiplicity_table
 from qcrystal.qseries import QSeries
 from qcrystal.young import Partition
+
+from helpers import print_json_rows_joined
 
 
 def run_cli(*argv, env=None):
@@ -361,6 +366,10 @@ class TestJsonBytes:
                 "9d58f80978f5bdee4d25d85bc6dd4f7ebfd86c12d32f31d9438b6a77ec000c02",
             ),
             (
+                "decompose --n 2 --max-k 40 --format json",
+                "4554464ce3ea58c68419896ee126ab8c2cbb9341e0a302bc76d407932e1e5608",
+            ),
+            (
                 "bseries --n 5 --method both --order 40 --format json",
                 "9606ec60e2d7c5ecf1f66212bf4f6ed7382d81cf88f95636fb218842190b6042",
             ),
@@ -369,3 +378,46 @@ class TestJsonBytes:
     def test_stdout_is_pinned(self, argv, digest, capsys):
         assert cli.main(argv.split()) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+json_scalars = st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+json_trees = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+def printed(write, *args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        write(*args)
+    return out.getvalue()
+
+
+class TestStreamedJsonRows:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.dictionaries(st.text(max_size=6), json_trees, max_size=4),
+        st.text(max_size=6),
+        st.lists(json_trees, max_size=6),
+    )
+    def test_matches_the_joined_layout(self, head, key, rows):
+        assert printed(cli._print_json_rows, head, key, iter(rows)) == printed(
+            print_json_rows_joined, head, key, rows
+        )
+
+    def test_reader_closing_mid_output_is_not_an_error(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qcrystal", "decompose", "--n", "2", "--max-k", "60", "--format", "json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert err == b""

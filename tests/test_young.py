@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import pickle
 
 import pytest
@@ -274,6 +275,37 @@ class TestEnumeration:
             for counts in maximal_shape_color_counts(2, boxes):
                 assert by_value.setdefault(counts, counts) is counts
         assert len(by_value) < sum(len(enumerate_maximal_shapes(2, b)) for b in range(41))
+
+    def test_equal_last_pairs_share_one_tuple(self):
+        table = young._shape_table(3, 30)
+        by_value = {}
+        for shapes, _ in table:
+            for p in shapes:
+                if p.pairs:
+                    last = p.pairs[-1]
+                    assert by_value.setdefault(last, last) is last
+        assert len(by_value) < sum(len(shapes) for shapes, _ in table)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_is_restored(self, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            young._shape_table(2, 30)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_collector_is_restored_when_the_search_raises(self, monkeypatch):
+        def broken(counts, length, row):
+            assert not gc.isenabled()
+            raise RuntimeError("row")
+
+        monkeypatch.setattr(young, "_add_row", broken)
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="row"):
+            young._shape_table(2, 10)
+        assert gc.isenabled()
 
     def test_shape_cache_is_bounded(self):
         for n in range(2, 20):
