@@ -33,11 +33,9 @@ def _env_order() -> int | None:
     try:
         value = int(raw)
     except ValueError as exc:
-        print(f"QSERIES_ORDER must be an integer, got {raw!r}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE) from exc
+        raise ValueError(f"QSERIES_ORDER must be an integer, got {raw!r}") from exc
     if value < 1:
-        print(f"QSERIES_ORDER must be at least 1, got {value}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise ValueError(f"QSERIES_ORDER must be at least 1, got {value}")
     return value
 
 
@@ -142,8 +140,7 @@ def _cmd_bseries(args) -> int:
     components = [args.i] if args.i is not None else list(range(args.n // 2 + 1))
     for i in components:
         if not 0 <= i <= args.n // 2:
-            print(f"component index {i} out of range for n={args.n}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"component index {i} out of range for n={args.n}")
     rows = [_series_rows(args, i, order) for i in components]
     if args.format == "json":
         head = {"n": args.n, "order": order, "method": args.method, "conjecture": args.conjecture}

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import qseries as qs
 from .qseries import QSeries
 from .weightlat import classify_maximal
-from .young import Partition, enumerate_maximal_shapes, maximal_shape_color_counts
+from .young import Partition, enumerate_maximal_shapes, maximal_shape_zero_counts
 
 __all__ = [
     "TableEntry",
@@ -74,12 +74,14 @@ class MultiplicityTable:
 def multiplicity_table(n: int, max_k: int, witness_cap: int | None = None) -> MultiplicityTable:
     """Enumerate and classify every chain shape with k up to max_k.
 
-    Each needed box count is enumerated once.  A shape's label depends
-    only on its color counts (the box count is their sum), so one shape
-    per distinct count vector is classified and every shape with that
-    vector is filed under its label.  A box count shared by two
-    components (n = 4 or 8, say) also holds labels with k beyond max_k,
-    which are dropped.
+    Each needed box count is enumerated once.  A shape's label (i, k) has
+    k equal to its number of color-0 cells, since `weight_of` sets
+    delta = -c_0, and `classify_maximal` rejects it unless
+    boxes = i^2 + (k - i) n.  On 0 <= i <= n/2 that equation has one root,
+    so the box count and c_0 fix the label: one shape per c_0 of each box
+    count is classified and every shape with that c_0 is filed under its
+    label.  A box count shared by two components (n = 4 or 8, say) also
+    holds labels with k beyond max_k, which are dropped.
     """
     if n < 2 or max_k < 0:
         raise ValueError("need n >= 2 and max_k >= 0")
@@ -88,16 +90,16 @@ def multiplicity_table(n: int, max_k: int, witness_cap: int | None = None) -> Mu
     found: dict[tuple[int, int], list[Partition]] = {
         (i, k): [] for i in range(n // 2 + 1) for k in range(i, max_k + 1)
     }
-    # color counts -> witness list of their label, or None when dropped
-    targets: dict[tuple[int, ...], list[Partition] | None] = {}
     # Largest first, so the shape table is built once at its full size.
     for boxes in sorted({i * i + (k - i) * n for i, k in found}, reverse=True):
         shapes = enumerate_maximal_shapes(n, boxes)
-        for p, counts in zip(shapes, maximal_shape_color_counts(n, boxes)):
+        # c_0 -> witness list of its label, or None when dropped
+        targets: dict[int, list[Partition] | None] = {}
+        for p, zeros in zip(shapes, maximal_shape_zero_counts(n, boxes)):
             try:
-                witnesses = targets[counts]
+                witnesses = targets[zeros]
             except KeyError:
-                witnesses = targets[counts] = found.get(classify_maximal(p, n))
+                witnesses = targets[zeros] = found.get(classify_maximal(p, n))
             if witnesses is not None:
                 witnesses.append(p)
     entries = {}

@@ -114,6 +114,7 @@ def classify_maximal(p: Partition, n: int) -> ComponentLabel:
     vertex has weight L_0 + weight_of(p).  That weight must be
     L_i + L_{n-i} - k delta for some 0 <= i <= n/2, and the box count must
     then satisfy boxes = i^2 + (k - i) n with k >= i; violations raise.
+    Since `weight_of` sets delta = -c_0, k is the number of color-0 cells.
     """
     if not is_maximal_shape(p, n):
         raise ValueError(f"{p} is not a chain-family member for n={n}")

@@ -19,7 +19,7 @@ __all__ = [
     "is_n_regular",
     "is_maximal_shape",
     "enumerate_maximal_shapes",
-    "maximal_shape_color_counts",
+    "maximal_shape_zero_counts",
 ]
 
 
@@ -146,14 +146,14 @@ def is_maximal_shape(p: Partition, n: int) -> bool:
 
 
 _SHAPE_CACHE_SIZE = 8
-# One box count's chain shapes and their color counts, as parallel tuples.
-_Bucket = tuple[tuple[Partition, ...], tuple[tuple[int, ...], ...]]
+# One box count's chain shapes and their color-0 cell counts, as parallel tuples.
+_Bucket = tuple[tuple[Partition, ...], tuple[int, ...]]
 _shape_tables: dict[int, tuple[_Bucket, ...]] = {}
 
 
 def _shape_table(n: int, boxes: int) -> tuple[_Bucket, ...]:
-    """Chain shapes of every box count up to `boxes`, with their color
-    counts, one (shapes, counts) pair per box count.
+    """Chain shapes of every box count up to `boxes`, with their color-0
+    cell counts, one (shapes, zero counts) pair per box count.
 
     Every prefix of a chain shape is a chain shape, because the conditions
     bind f1 and consecutive pairs only.  One depth-first search from the
@@ -163,16 +163,12 @@ def _shape_table(n: int, boxes: int) -> tuple[_Bucket, ...]:
     parts differ there; visiting the larger part first lists every bucket
     in descending lexicographic order.
 
-    A node carries its color counts packed into one integer, one slot of
-    `boxes.bit_length() + 1` bits per color; no color holds more than
-    `boxes` cells, so no slot carries into the next.  The `mult` rows of
+    A node carries its number of color-0 cells.  The `mult` rows of
     length `part` that a node appends below its parent's `rows` rows add
-    `part // n` cells of every color per row, plus a block of tail cells
-    that depends only on (part mod n, mult, rows mod n).  Blocks are
+    `part // n` color-0 cells per row, plus a count of color-0 tail cells
+    that depends only on (part mod n, mult, rows mod n).  Those counts are
     memoised on first use, by the per-row rule `color_counts` uses; a
-    table of all n^3 of them would dwarf the search at large n.  Each
-    distinct packed value is unpacked once, so equal count vectors share
-    one tuple.
+    table of all n^3 of them would dwarf the search at large n.
 
     Shapes are built without `Partition`'s validation, which would only
     re-check what the search guarantees: parts come strictly decreasing
@@ -188,27 +184,21 @@ def _shape_table(n: int, boxes: int) -> tuple[_Bucket, ...]:
     passes would free nothing.
     """
     new, set_pairs = object.__new__, Partition.pairs.__set__
-    width = boxes.bit_length() + 1
-    mask = (1 << width) - 1
-    shifts = range(0, n * width, width)
-    ones = ((1 << n * width) - 1) // mask
-    zero = (0,) * n
-    vectors = {0: zero}
     tails: dict[int, tuple[tuple[int, int]]] = {}
     blocks: dict[int, int] = {}
     shapes: list[list[Partition]] = [[] for _ in range(boxes + 1)]
-    counts: list[list[tuple[int, ...]]] = [[] for _ in range(boxes + 1)]
+    zeros: list[list[int]] = [[] for _ in range(boxes + 1)]
     shapes[0].append(EMPTY)
-    counts[0].append(zero)
+    zeros[0].append(0)
 
     def block_of(key, length, mult, rows):
         cells = [0] * n
         for row in range(rows + 1, rows + mult + 1):
             _add_row(cells, length, row)
-        block = blocks[key] = sum([c << s for c, s in zip(cells, shifts) if c])
+        block = blocks[key] = cells[0]
         return block
 
-    def extend(prefix, top, c, size, rows, packed):
+    def extend(prefix, top, c, size, rows, c0):
         # c = (last part + its multiplicity) mod n forces the next
         # multiplicity, so the search branches on the next part only.
         phase = rows % n
@@ -225,14 +215,11 @@ def _shape_table(n: int, boxes: int) -> tuple[_Bucket, ...]:
             block = blocks.get(key)
             if block is None:
                 block = block_of(key, part % n, mult, phase)
-            grown = packed + part // n * mult * ones + block
-            vec = vectors.get(grown)
-            if vec is None:
-                vec = vectors[grown] = tuple([grown >> s & mask for s in shifts])
+            grown = c0 + part // n * mult + block
             shape = new(Partition)
             set_pairs(shape, pairs)
             shapes[total].append(shape)
-            counts[total].append(vec)
+            zeros[total].append(grown)
             if part > 1 and total < boxes:
                 extend(pairs, part - 1, (part + mult) % n, total, rows + mult, grown)
 
@@ -243,11 +230,11 @@ def _shape_table(n: int, boxes: int) -> tuple[_Bucket, ...]:
     finally:
         if collecting:
             gc.enable()
-    return tuple(zip(map(tuple, shapes), map(tuple, counts)))
+    return tuple(zip(map(tuple, shapes), map(tuple, zeros)))
 
 
 def _shape_bucket(n: int, boxes: int) -> _Bucket:
-    """The (shapes, counts) pair for one box count, from the cached table
+    """The (shapes, zero counts) pair for one box count, from the cached table
     of modulus n; the eight most recently used moduli are kept."""
     if n < 2:
         raise ValueError("modulus n must be at least 2")
@@ -280,7 +267,7 @@ def enumerate_maximal_shapes(n: int, boxes: int) -> tuple[Partition, ...]:
     return _shape_bucket(n, boxes)[0]
 
 
-def maximal_shape_color_counts(n: int, boxes: int) -> tuple[tuple[int, ...], ...]:
-    """Color counts of `enumerate_maximal_shapes(n, boxes)`, in
-    the same order; shapes with equal counts share one tuple."""
+def maximal_shape_zero_counts(n: int, boxes: int) -> tuple[int, ...]:
+    """Number of color-0 cells of each shape of
+    `enumerate_maximal_shapes(n, boxes)`, in the same order."""
     return _shape_bucket(n, boxes)[1]

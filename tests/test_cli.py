@@ -147,6 +147,13 @@ class TestBseries:
     def test_component_out_of_range(self):
         assert run_cli("bseries", "--n", "3", "--i", "2").returncode == 2
 
+    @pytest.mark.parametrize("i", ["2", "-1"])
+    def test_component_out_of_range_is_one_error_line(self, i, capsys):
+        assert cli.main(["bseries", "--n", "3", "--i", i, "--method", "comb"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"error: component index {i} out of range for n=3"]
+
 
 class TestVerify:
     def test_single_lemma_at_order_one(self):
@@ -178,6 +185,24 @@ class TestVerify:
         result = run_cli("verify", "--identity", "lemma5.1", env=env)
         assert result.returncode == 2
         assert "QSERIES_ORDER" in result.stderr and "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "env, message",
+        [
+            ("abc", "QSERIES_ORDER must be an integer, got 'abc'"),
+            ("0", "QSERIES_ORDER must be at least 1, got 0"),
+        ],
+        ids=["not-an-integer", "below-one"],
+    )
+    @pytest.mark.parametrize(
+        "argv", [["verify", "--identity", "lemma5.1"], ["bseries", "--n", "3"]], ids=["verify", "bseries"]
+    )
+    def test_bad_env_order_is_one_error_line(self, env, message, argv, monkeypatch, capsys):
+        monkeypatch.setenv("QSERIES_ORDER", env)
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"error: {message}"]
 
     def test_uncaught_value_error_exits_2(self, monkeypatch, capsys):
         def broken_check(order):

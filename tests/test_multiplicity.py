@@ -91,6 +91,9 @@ class TestTable:
         assert got == multiplicity_table_by_filter(n, max_k, witness_cap)
 
     def test_classifies_once_per_color_vector(self, monkeypatch):
+        # The table files shapes by (box count, color-0 count), so that pair
+        # must pick out one color vector; n = 4 and 8 have components that
+        # share a box residue.
         calls = []
 
         def counting(p, n):
@@ -98,13 +101,18 @@ class TestTable:
             return classify_maximal(p, n)
 
         monkeypatch.setattr(multiplicity, "classify_maximal", counting)
-        table = multiplicity_table(2, 40)
-        box_counts = {i * i + (k - i) * 2 for i, k in table.entries}
-        shapes = [p for boxes in box_counts for p in enumerate_maximal_shapes(2, boxes)]
-        vectors = {color_counts(p, 2) for p in shapes}
-        assert len(calls) == len(vectors)
-        assert 20 * len(calls) < len(shapes)
-        assert sum(e.count for e in table.entries.values()) == len(shapes)
+        for n, max_k in ((2, 40), (4, 12), (8, 9)):
+            calls.clear()
+            table = multiplicity_table(n, max_k)
+            box_counts = {i * i + (k - i) * n for i, k in table.entries}
+            shapes = [p for boxes in box_counts for p in enumerate_maximal_shapes(n, boxes)]
+            vectors = {color_counts(p, n) for p in shapes}
+            keys = {(p.boxes, color_counts(p, n)[0]) for p in shapes}
+            assert len(calls) == len(keys) == len(vectors), n
+            assert 15 * len(calls) < len(shapes), n
+            # Shared box counts also hold labels beyond max_k, which are dropped.
+            filed = sum(e.count for e in table.entries.values())
+            assert filed == len(shapes) if n == 2 else filed < len(shapes), n
 
     def test_entries_classify_back(self):
         table = multiplicity_table(4, 5)
@@ -583,7 +591,7 @@ class TestRouteIndependence:
             assert entry.count == gf_comb(i, 4, 7).coeff(k - i)
 
     def test_crystal_module_holds_no_chain_shape_code(self):
-        names = ("is_maximal_shape", "enumerate_maximal_shapes", "maximal_shape_color_counts")
+        names = ("is_maximal_shape", "enumerate_maximal_shapes", "maximal_shape_zero_counts")
         assert not set(names) & set(vars(crystal))
 
     def test_classification_needs_no_closed_form(self, monkeypatch):

@@ -34,7 +34,7 @@ EXPORTS = {
     "epsilon", "euler_phi", "f_tilde", "first_difference", "fundamental_weight", "gf_comb",
     "gf_theta", "i_signature", "is_maximal_second_factor", "is_maximal_shape",
     "is_maximal_structural", "is_n_regular", "master_coefficient", "master_discrepancy",
-    "maximal_shape_color_counts", "multiplicity_table", "partition_identity_counts", "phi",
+    "maximal_shape_zero_counts", "multiplicity_table", "partition_identity_counts", "phi",
     "residue_block", "restricted_partition_gf", "simple_root", "theta_branch", "theta_f",
     "theta_g", "theta_solution", "triple_product_f", "triple_product_g", "weight_of",
 }

@@ -13,7 +13,7 @@ from qcrystal.young import (
     enumerate_maximal_shapes,
     is_maximal_shape,
     is_n_regular,
-    maximal_shape_color_counts,
+    maximal_shape_zero_counts,
 )
 
 from helpers import (
@@ -209,9 +209,14 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("earlier", ["cold", "larger", "smaller"])
     def test_carried_color_counts_match_cell_counts(self, earlier):
-        # Same three paths as above: the counts carried through the search
-        # must survive regrowth as well as a cold or oversized build.
-        for n in range(2, 9):
+        # Same three paths as above: the color-0 counts carried through the
+        # search must survive regrowth as well as a cold or oversized build.
+        def check(n, boxes):
+            shapes = enumerate_maximal_shapes(n, boxes)
+            expected = [color_counts(p, n)[0] for p in shapes]
+            assert list(maximal_shape_zero_counts(n, boxes)) == expected, (n, boxes, earlier)
+
+        for n in (*range(2, 9), 12, 41):
             young._shape_tables.clear()
             if earlier == "larger":
                 enumerate_maximal_shapes(n, 60)
@@ -220,33 +225,17 @@ class TestEnumeration:
             for boxes in range(41):
                 if earlier == "cold":
                     young._shape_tables.clear()
-                shapes = enumerate_maximal_shapes(n, boxes)
-                carried = maximal_shape_color_counts(n, boxes)
-                expected = [color_counts(p, n) for p in shapes]
-                assert list(carried) == expected, (n, boxes, earlier)
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_carried_color_counts_across_slot_widths(self, n):
-        # A table of B boxes packs each color into B.bit_length() + 1 bits:
-        # 7 up to 63 boxes, 8 up to 127, 9 from 128.  Each build sizes its
-        # own slots, so the buckets on both sides of each step are checked
-        # in tables built cold and regrown from smaller ones.
-        steps = (
-            (True, 63, 63, (63,)),  # cold, 7-bit slots
-            (False, 64, 71, (63, 64)),  # regrown from 63, 8-bit slots
-            (False, 127, 127, (127,)),  # regrown from 71, 8-bit slots
-            (True, 64, 64, (64,)),  # cold, 8-bit slots
-            (False, 128, 128, (127, 128)),  # regrown from 64, 9-bit slots
-        )
-        for cold, request, size, buckets in steps:
-            if cold:
-                young._shape_tables.clear()
-            enumerate_maximal_shapes(n, request)
-            assert len(young._shape_tables[n]) - 1 == size
-            for boxes in buckets:
-                shapes = enumerate_maximal_shapes(n, boxes)
-                expected = [color_counts(p, n) for p in shapes]
-                assert list(maximal_shape_color_counts(n, boxes)) == expected, (n, boxes, size)
+                check(n, boxes)
+        # Deeper tables, on both sides of 64 and 128 boxes: ascending
+        # requests regrow the table at 64 (from 63) and at 128 (from 127).
+        for n in (2, 3, 4):
+            young._shape_tables.clear()
+            if earlier == "larger":
+                enumerate_maximal_shapes(n, 128)
+            for boxes in (63, 64, 127, 128):
+                if earlier == "cold":
+                    young._shape_tables.clear()
+                check(n, boxes)
         young._shape_tables.clear()
 
     @pytest.mark.parametrize("n, boxes", [(41, 60), (12, 40)])
@@ -267,14 +256,6 @@ class TestEnumeration:
         table = young._shape_table(n, boxes)
         appended = sum(p.pairs[-1][1] for shapes, _ in table for p in shapes if p.pairs)
         assert 0 < calls <= appended
-
-    def test_equal_color_counts_share_one_tuple(self):
-        young._shape_tables.clear()
-        by_value = {}
-        for boxes in range(41):
-            for counts in maximal_shape_color_counts(2, boxes):
-                assert by_value.setdefault(counts, counts) is counts
-        assert len(by_value) < sum(len(enumerate_maximal_shapes(2, b)) for b in range(41))
 
     def test_equal_last_pairs_share_one_tuple(self):
         table = young._shape_table(3, 30)
@@ -322,6 +303,6 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_maximal_shapes(3, -1)
         with pytest.raises(ValueError):
-            maximal_shape_color_counts(1, 4)
+            maximal_shape_zero_counts(1, 4)
         with pytest.raises(ValueError):
-            maximal_shape_color_counts(3, -1)
+            maximal_shape_zero_counts(3, -1)
