@@ -59,21 +59,32 @@ def distinct_odd_sum_form(i: int, order: int) -> QSeries:
         raise ValueError("only components 0 and 1 exist for modulus 2")
     if order < 1:
         raise ValueError("order must be at least 1")
-    acc = [0] * order
-    inv = [0] * order  # running inverse of prod (1 - q^k)
+    return _distinct_odd_sum_forms(order)[i]
+
+
+# Lemma 5.1 asks for both components at one order.
+@functools.lru_cache(maxsize=1)
+def _distinct_odd_sum_forms(order: int) -> tuple[QSeries, QSeries]:
+    """Both sum forms from one running inverse of prod (1 - q^k).
+
+    Term k = 2m + i of either form is q^(k^2 // 2) / prod_{j<=k} (1 - q^j),
+    so the terms of S_0 and S_1 alternate as k grows.  Term k and all
+    later ones read the inverse only below order - k^2 // 2, and dividing
+    by (1 - q^k) never reads above the coefficient it writes, so the
+    inverse is cut to that length before each division.
+    """
+    sums = ([0] * order, [0] * order)
+    inv = [0] * order  # running inverse of prod (1 - q^j), j <= k
     inv[0] = 1
-    k_done = 0
-    m = 0
-    while True:
-        exponent = 2 * m * m + 2 * i * m
-        if exponent >= order:
-            break
-        while k_done < 2 * m + i:
-            k_done += 1
-            qs._div_binomial_inplace(inv, k_done)
+    k = 0
+    while (exponent := k * k // 2) < order:
+        del inv[order - exponent:]
+        if k:
+            qs._div_binomial_inplace(inv, k)
+        acc = sums[k % 2]
         acc[exponent:] = map(add, acc[exponent:], inv)
-        m += 1
-    return QSeries.from_coeffs(acc, order)
+        k += 1
+    return tuple(QSeries.from_coeffs(acc, order) for acc in sums)
 
 
 # Lemmas 5.1 and 5.2 ask for the same order in one catalog run; the pieces
@@ -113,7 +124,8 @@ def check_lemma_5_2(order: int) -> IdentityReport:
 def check_lemma_5_3(order: int) -> IdentityReport:
     """Two equivalent quotient presentations of the modulus-2 series."""
     phi_inv = qs.euler_phi(order).invert()
-    phi2_inv = qs.euler_phi(order, stride=2).invert()
+    # phi(q^2)^-1 is phi^-1 under q -> q^2, a ring map, so exact.
+    phi2_inv = phi_inv.truncate(-(-order // 2)).expand(2).truncate(order)
     pairs = (
         (qs.theta_f(5, 3, order), qs.theta_f(11, 13, order), qs.theta_f(5, 19, order), 1),
         (qs.theta_f(1, 7, order), qs.theta_f(7, 17, order), qs.theta_f(1, 23, order), 2),

@@ -48,7 +48,15 @@ class TestSumForms:
 
     @pytest.mark.parametrize("i", [0, 1])
     def test_matches_coefficient_loops_at_high_order(self, i):
-        assert distinct_odd_sum_form(i, 1200) == distinct_odd_sum_form_by_loops(i, 1200)
+        for order in (1189, 1200):
+            assert distinct_odd_sum_form(i, order) == distinct_odd_sum_form_by_loops(i, order)
+
+    def test_matches_coefficient_loops_at_every_low_order(self):
+        # Both components come from one pass whose inverse is cut as the
+        # term exponents grow; small orders end that pass at every step.
+        for order in range(1, 81):
+            for i in (0, 1):
+                assert distinct_odd_sum_form(i, order) == distinct_odd_sum_form_by_loops(i, order), (i, order)
 
 
 class TestSeriesChecks:
@@ -71,6 +79,22 @@ class TestSeriesChecks:
         assert check_lemma_5_1(120).holds and check_lemma_5_2(120).holds
         info = identities._two_core_pieces.cache_info()
         assert (info.misses, info.hits, info.maxsize) == (1, 1, 1)
+
+    def test_lemma_5_1_builds_both_sum_forms_in_one_pass(self):
+        identities._distinct_odd_sum_forms.cache_clear()
+        assert check_lemma_5_1(120).holds
+        info = identities._distinct_odd_sum_forms.cache_info()
+        assert (info.misses, info.hits, info.maxsize) == (1, 1, 1)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 150, 1189])
+    def test_lemma_5_3_inverts_once_and_substitutes_for_phi_q2(self, monkeypatch, order):
+        inverses, expansions = [], []
+        invert, expand = QSeries.invert, QSeries.expand
+        monkeypatch.setattr(QSeries, "invert", lambda s: inverses.append(invert(s)) or inverses[-1])
+        monkeypatch.setattr(QSeries, "expand", lambda s, k: expansions.append(expand(s, k)) or expansions[-1])
+        assert check_lemma_5_3(order).holds
+        assert len(inverses) == 1 and len(expansions) == 1
+        assert expansions[0].truncate(order) == invert(euler_phi(order, stride=2))
 
     def test_sign_flip_fails_at_exponent_one(self):
         # Flipping the subtraction in the theta-square difference moves the

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qcrystal import qseries
 from qcrystal.qseries import (
+    PAIR_MUL_DENSITY,
     SPARSE_MUL_DENSITY,
     SPARSE_MUL_LIMIT,
     NonUnitConstantError,
@@ -208,15 +209,18 @@ def series(draw, order, near=SPARSE_MUL_LIMIT):
 
 @st.composite
 def factor_pairs(draw):
-    """Two series at one order, the second possibly next to the product's
-    dispatch boundary against the first: the fixed limit, or the first's
-    nonzero count over the density factor.  Orders reach past
+    """Two series at one order, the second possibly next to one of the
+    product's dispatch boundaries against the first: the fixed limit, the
+    first's nonzero count over the density factor, or the share of the
+    window, 1/PAIR_MUL_DENSITY, below which two sparse factors are
+    multiplied term pair by term pair.  Orders reach past
     SPARSE_MUL_DENSITY * SPARSE_MUL_LIMIT, below which the limit decides."""
     limit = SPARSE_MUL_DENSITY * SPARSE_MUL_LIMIT
     order = draw(st.one_of(st.integers(1, 3 * SPARSE_MUL_LIMIT), st.integers(limit, limit + 64)))
     a = draw(series(order))
     nonzero = len(a.coeffs) - a.coeffs.count(0)
-    return a, draw(series(order, near=max(SPARSE_MUL_LIMIT, nonzero // SPARSE_MUL_DENSITY)))
+    near = draw(st.sampled_from((max(SPARSE_MUL_LIMIT, nonzero // SPARSE_MUL_DENSITY), order // PAIR_MUL_DENSITY)))
+    return a, draw(series(order, near=near))
 
 
 class TestProductProperties:
@@ -246,14 +250,18 @@ class TestProductProperties:
             # two sparse factors: the other factor's nonzero count
             *((600, 40 + d, 40 * SPARSE_MUL_DENSITY) for d in (-1, 0, 1)),
             (600, 100, 160),
+            # a sparse factor against one on either side of the term-pair share
+            *((600, k, 600 // PAIR_MUL_DENSITY + d) for k in (1, 20) for d in (-1, 0, 1)),
+            *((1189, 25, other) for other in (25, 1189 // PAIR_MUL_DENSITY, 1189 // PAIR_MUL_DENSITY + 1, 400)),
         ],
     )
     def test_both_paths_agree_at_the_dispatch_boundary(self, order, nonzero, other, monkeypatch):
         rng = random.Random(nonzero)
 
         def sparse_coeffs(count):
+            # exponent 0 included, so the product's window is the whole order
             coeffs = [0] * order
-            for idx in rng.sample(range(order), count):
+            for idx in [0, *rng.sample(range(1, order), count - 1)]:
                 coeffs[idx] = rng.choice((1, -1, 2, -(2**70)))
             return coeffs
 
@@ -262,18 +270,32 @@ class TestProductProperties:
             dense = [rng.choice((1, -1)) * rng.randint(1, 2**90) for _ in range(order)]
         else:
             dense = sparse_coeffs(other)
-        expected = qseries._sparse_product(sparse, dense, order)
-        assert qseries._packed_product(sparse, dense, order) == expected
+        a, b = QSeries.from_coeffs(sparse, order), QSeries.from_coeffs(dense, order)
+        # every path at the full window and at one shorter than the factors
+        for width in (order, order - 7):
+            expected = naive_series_mul(dict(enumerate(sparse)), dict(enumerate(dense)), width)
+            for path in (qseries._pair_product, qseries._sparse_product, qseries._packed_product):
+                got = path(sparse, dense, width)
+                assert len(got) == width and {e: c for e, c in enumerate(got) if c} == expected
         paths = []
-        for name in ("_sparse_product", "_packed_product"):
+        for name in ("_pair_product", "_sparse_product", "_packed_product"):
             real = getattr(qseries, name)
             monkeypatch.setattr(qseries, name, lambda *args, _real=real, _name=name: paths.append(_name) or _real(*args))
-        a, b = QSeries.from_coeffs(sparse, order), QSeries.from_coeffs(dense, order)
         product = a * b
-        sparse_path = nonzero < SPARSE_MUL_LIMIT or SPARSE_MUL_DENSITY * nonzero < (other or order)
-        assert paths == ["_sparse_product" if sparse_path else "_packed_product"]
-        assert product.coefficient_list() == expected
+        other = other or order
+        if not (nonzero < SPARSE_MUL_LIMIT or SPARSE_MUL_DENSITY * nonzero < other):
+            assert paths == ["_packed_product"]
+        elif PAIR_MUL_DENSITY * other < order:
+            assert paths == ["_pair_product"]
+        else:
+            assert paths == ["_sparse_product"]
         assert series_to_dict(product) == naive_series_mul(series_to_dict(a), series_to_dict(b), order)
+        # negative valuation: the product's bound drops with it
+        low = a.shift(-2)
+        high = b.truncate(low.order)
+        product = low * high
+        assert product.order == low.order - 2
+        assert series_to_dict(product) == naive_series_mul(series_to_dict(low), series_to_dict(high), product.order)
 
     @pytest.mark.parametrize(
         "window, length, m, m2, bits",
