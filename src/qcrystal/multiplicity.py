@@ -179,13 +179,16 @@ def _table_for(n: int, boxes: int) -> tuple[tuple[int, ...], ...]:
     """Cached per-component table for modulus n covering `boxes`.
 
     A too-small table is rebuilt at twice its size or more, so a run of
-    increasing requests rebuilds only logarithmically often.  The cache
-    keeps the most recently used moduli.
+    increasing requests rebuilds only logarithmically often.  Every size
+    is rounded up to a box count congruent to (n // 2)^2 mod n, which
+    completes the highest component's last row, so a `gf_comb` request at
+    that size reuses the table.  The cache keeps the most recently used
+    moduli.
     """
     table = _tables.pop(n, None)
     if table is None or len(table[0]) <= boxes:
         size = boxes if table is None else max(boxes, 2 * (len(table[0]) - 1))
-        table = _count_table(n, size)
+        table = _count_table(n, size + ((n // 2) ** 2 - size) % n)
     _tables[n] = table
     while len(_tables) > _TABLE_CACHE_SIZE:
         del _tables[next(iter(_tables))]

@@ -9,13 +9,13 @@ The canonical form has a nonzero leading coefficient (the zero series is
 stored as lowest=0 with no coefficients), which makes structural equality
 of the dataclass coincide with coefficient-wise equality at equal order.
 
-Products pick one of three paths by density.  A factor with few nonzero
-coefficients (a theta series) is multiplied term by term, skipping its
-zeros: against a factor that is sparse too, one term pair at a time;
-against a denser one, one slice pass over it per term.  Other pairs are
-packed into one big integer each (Kronecker substitution) with signed
-slots one bit wider than a proven coefficient bound.  Determinants keep
-their Laplace minors packed too.
+Products pick one of three paths by density.  Two sparse factors (theta
+series, say) with few enough term pairs for the window are multiplied one
+term pair at a time.  A factor with few nonzero coefficients against a
+denser one takes one slice pass over it per term.  Other pairs are packed
+into one big integer each (Kronecker substitution) with signed slots one
+bit wider than a proven coefficient bound.  Determinants keep their
+Laplace minors packed too.
 
 Products are exact: when a factor has negative valuation, coefficients of
 the product near the truncation bound would need tail data that a
@@ -45,24 +45,23 @@ __all__ = [
 ]
 
 
-# A product whose sparser factor has fewer nonzero coefficients than
-# SPARSE_MUL_LIMIT, or SPARSE_MUL_DENSITY times fewer than the other (a
-# theta series against a dense one, say), runs the zero-skipping loop;
-# other products, two sparse factors of like density included, are
-# packed into one big integer per factor.  `_product` applies the rule;
-# `QSeries.invert` reads it too, to pick between its term recurrence and
-# Newton steps.
+# Two factors with fewer than 1/PAIR_MUL_DENSITY of the product window
+# nonzero (theta series, say) loop over term pairs when there are fewer
+# than PAIR_MUL_LIMIT per window slot, and are packed otherwise.  On 2
+# vCPUs, Python 3.11, the pair loop beat slice passes up to about a
+# quarter of the window nonzero, and beat packing random 2-bit factors up
+# to 13-17 pairs per slot at widths 300-1189, 18-22 at 4000, 27-33 at 10^4.
+PAIR_MUL_DENSITY = 4
+PAIR_MUL_LIMIT = 16
+
+# Otherwise a product whose sparser factor has fewer nonzero coefficients
+# than SPARSE_MUL_LIMIT, or SPARSE_MUL_DENSITY times fewer than the other
+# (a theta series against a dense one, say), takes one slice pass per
+# term; other products are packed into one big integer per factor.
+# `_product` applies the rules; `QSeries.invert` reads these two, to
+# pick between its term recurrence and Newton steps.
 SPARSE_MUL_LIMIT = 32
 SPARSE_MUL_DENSITY = 6
-
-# On that zero-skipping path, when the denser factor too has fewer than
-# 1/PAIR_MUL_DENSITY of the product window nonzero (two theta series,
-# say), the loop runs over term pairs instead of one slice pass over the
-# denser factor per term.  The two loops' cost ratio depends on that
-# share alone: with a theta factor against random ones of widths 300 to
-# 4000 (2 vCPUs, Python 3.11), the pair loop took 0.5-0.75 of the slice
-# passes' time at a quarter and lost from about 0.4-0.5 on.
-PAIR_MUL_DENSITY = 4
 
 
 class OrderMismatchError(ValueError):
@@ -245,12 +244,14 @@ class QSeries:
         The term recurrence finds one coefficient per pass over the nonzero
         terms.  A series too dense to be the sparse factor of a product
         leaves it once at least SPARSE_MUL_LIMIT coefficients are known and
-        each has fewer bits than their count.  From there each Newton step
-        g <- g - g * (a * g - 1) doubles the known prefix with two products
-        (H. T. Kung, Numer. Math. 22 (1974) 341-348); no step divides, so
-        all are exact.  Inverses that grow by a bit or more per exponent
-        stay on the recurrence: a packed product sizes every slot for the
-        largest coefficient, and there it loses to the narrow terms.
+        each has fewer bits than their count.  From there Newton steps
+        g <- g - g * (a * g - 1) climb the targets ..., ceil(N/4),
+        ceil(N/2), N the order, each with two products cut to its target
+        and at most doubling the known prefix (H. T. Kung, Numer. Math. 22
+        (1974) 341-348); no step divides, so all are exact.  Inverses that
+        grow by a bit or more per exponent stay on the recurrence: a packed
+        product sizes every slot for the largest coefficient, and there it
+        loses to the narrow terms.
         """
         if self.is_zero or self.lowest != 0 or self.coeffs[0] not in (1, -1):
             raise NonUnitConstantError("inversion needs lowest = 0 and constant term +-1")
@@ -273,12 +274,14 @@ class QSeries:
             out.append(-c0 * acc)
             if dense:
                 width = max(width, out[-1].bit_length())
-        known = len(out)
-        while known < order:
-            step = min(known, order - known)
-            residual = _product(a[: known + step], out, known + step)[known:]
-            out += map(neg, _product(out[:step], residual, step))
-            known += step
+        targets, target = [], order
+        while target > len(out):
+            targets.append(target)
+            target = -(-target // 2)
+        for target in reversed(targets):
+            known = len(out)
+            residual = _product(a[:target], out, target)[known:]
+            out += map(neg, _product(out[: target - known], residual, target - known))
         return QSeries._new(0, out, order)
 
     # -- exponent substitutions -------------------------------------------
@@ -297,13 +300,14 @@ class QSeries:
 
 def _product(a, b, width: int) -> list[int]:
     """The first `width` coefficients of a product of two coefficient
-    sequences, by the path the density rule above picks."""
+    sequences, by the path the density rules above pick."""
     nonzero_a, nonzero_b = len(a) - a.count(0), len(b) - b.count(0)
     if nonzero_b < nonzero_a:
         a, b, nonzero_a, nonzero_b = b, a, nonzero_b, nonzero_a
-    if nonzero_a < SPARSE_MUL_LIMIT or SPARSE_MUL_DENSITY * nonzero_a < nonzero_b:
-        if PAIR_MUL_DENSITY * nonzero_b < width:
+    if PAIR_MUL_DENSITY * nonzero_b < width:
+        if nonzero_a * nonzero_b < PAIR_MUL_LIMIT * width:
             return _pair_product(a, b, width)
+    elif nonzero_a < SPARSE_MUL_LIMIT or SPARSE_MUL_DENSITY * nonzero_a < nonzero_b:
         return _sparse_product(a, b, width)
     return _packed_product(a, b, width)
 
@@ -346,11 +350,11 @@ def _packed_product(a, b, width: int) -> list[int]:
 
     Each factor becomes one integer with a signed slot per coefficient, so
     the product is one big-integer multiply.  No product coefficient
-    exceeds max|a| * max|b| * min(len a, len b) in magnitude, and the
-    slots are that bound's bit length plus a sign bit wide, so no slot
-    carries into the next.
+    exceeds min(max|a| sum|b|, max|b| sum|a|) in magnitude, at most
+    max|a| max|b| min(len a, len b), and the slots are that bound's bit
+    length plus a sign bit wide, so no slot carries into the next.
     """
-    bound = max(max(a), -min(a)) * max(max(b), -min(b)) * min(len(a), len(b))
+    bound = min(max(map(abs, a)) * sum(map(abs, b)), max(map(abs, b)) * sum(map(abs, a)))
     slot = bound.bit_length() + 1
     return _unpack(_pack(a, slot) * _pack(b, slot), slot, width)
 

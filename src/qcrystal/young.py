@@ -145,6 +145,13 @@ def is_maximal_shape(p: Partition, n: int) -> bool:
     return True
 
 
+def _zero_tail(length: int, mult: int, rows: int, n: int) -> int:
+    """Color-0 cells in `mult` rows of `length` < n cells below `rows` rows.
+    Row r (1-based) starts at color (1 - r) mod n, so it has one exactly
+    when (r - 1) mod n < length."""
+    return sum((rows + j) % n < length for j in range(mult))
+
+
 _SHAPE_CACHE_SIZE = 8
 # One box count's chain shapes and their color-0 cell counts, as parallel tuples.
 _Bucket = tuple[tuple[Partition, ...], tuple[int, ...]]
@@ -167,8 +174,8 @@ def _shape_table(n: int, boxes: int) -> tuple[_Bucket, ...]:
     length `part` that a node appends below its parent's `rows` rows add
     `part // n` color-0 cells per row, plus a count of color-0 tail cells
     that depends only on (part mod n, mult, rows mod n).  Those counts are
-    memoised on first use, by the per-row rule `color_counts` uses; a
-    table of all n^3 of them would dwarf the search at large n.
+    memoised on first use; a table of all n^3 of them would dwarf the
+    search at large n.
 
     Shapes are built without `Partition`'s validation, which would only
     re-check what the search guarantees: parts come strictly decreasing
@@ -191,13 +198,6 @@ def _shape_table(n: int, boxes: int) -> tuple[_Bucket, ...]:
     shapes[0].append(EMPTY)
     zeros[0].append(0)
 
-    def block_of(key, length, mult, rows):
-        cells = [0] * n
-        for row in range(rows + 1, rows + mult + 1):
-            _add_row(cells, length, row)
-        block = blocks[key] = cells[0]
-        return block
-
     def extend(prefix, top, c, size, rows, c0):
         # c = (last part + its multiplicity) mod n forces the next
         # multiplicity, so the search branches on the next part only.
@@ -214,7 +214,7 @@ def _shape_table(n: int, boxes: int) -> tuple[_Bucket, ...]:
             key = (part % n * n + mult) * n + phase
             block = blocks.get(key)
             if block is None:
-                block = block_of(key, part % n, mult, phase)
+                block = blocks[key] = _zero_tail(part % n, mult, phase, n)
             grown = c0 + part // n * mult + block
             shape = new(Partition)
             set_pairs(shape, pairs)

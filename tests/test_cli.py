@@ -9,7 +9,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcrystal import cli, identities, qseries
+from qcrystal import cli, identities, multiplicity, qseries
 from qcrystal.multiplicity import multiplicity_table
 from qcrystal.qseries import QSeries
 from qcrystal.young import Partition
@@ -156,6 +156,19 @@ class TestBseries:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("master_order", [198, 199, 200])
+    def test_catalog_builds_each_chain_table_once(self, master_order, monkeypatch, capsys):
+        # theorem5.1 at --max-k 66 asks for 198 boxes of n = 3, the master
+        # check for up to 199: the first table is rounded up to serve both
+        builds = []
+        real = multiplicity._count_table
+        monkeypatch.setattr(multiplicity, "_count_table", lambda n, boxes: builds.append(n) or real(n, boxes))
+        monkeypatch.setattr(multiplicity, "_tables", {})
+        argv = ["verify", "--identity", "all", "--order", "1200", "--master-order", str(master_order), "--max-k", "66"]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["all_hold"] is True
+        assert 3 in builds and len(builds) == len(set(builds))
+
     def test_single_lemma_at_order_one(self):
         result = run_cli("verify", "--identity", "lemma5.2", "--order", "1")
         assert result.returncode == 0

@@ -200,7 +200,7 @@ class TestCountingIdentities:
         monkeypatch.setattr(multiplicity, "_count_table", counting)
         multiplicity._tables.clear()
         assert check_theorem_5_1(200).holds
-        assert builds == [(3, 600)]
+        assert builds == [(3, 601)]
 
     def test_theorem_check_reports_a_equals_c_before_b_equals_d(self, monkeypatch):
         true_count = identities.count_maximal_shapes

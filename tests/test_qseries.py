@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from qcrystal import qseries
 from qcrystal.qseries import (
     PAIR_MUL_DENSITY,
+    PAIR_MUL_LIMIT,
     SPARSE_MUL_DENSITY,
     SPARSE_MUL_LIMIT,
     NonUnitConstantError,
@@ -213,7 +214,8 @@ def factor_pairs(draw):
     product's dispatch boundaries against the first: the fixed limit, the
     first's nonzero count over the density factor, or the share of the
     window, 1/PAIR_MUL_DENSITY, below which two sparse factors are
-    multiplied term pair by term pair.  Orders reach past
+    multiplied term pair by term pair (at these orders they always make
+    fewer than PAIR_MUL_LIMIT pairs per slot).  Orders reach past
     SPARSE_MUL_DENSITY * SPARSE_MUL_LIMIT, below which the limit decides."""
     limit = SPARSE_MUL_DENSITY * SPARSE_MUL_LIMIT
     order = draw(st.one_of(st.integers(1, 3 * SPARSE_MUL_LIMIT), st.integers(limit, limit + 64)))
@@ -253,6 +255,11 @@ class TestProductProperties:
             # a sparse factor against one on either side of the term-pair share
             *((600, k, 600 // PAIR_MUL_DENSITY + d) for k in (1, 20) for d in (-1, 0, 1)),
             *((1189, 25, other) for other in (25, 1189 // PAIR_MUL_DENSITY, 1189 // PAIR_MUL_DENSITY + 1, 400)),
+            # two sparse factors on either side of PAIR_MUL_LIMIT pairs per slot
+            *((600, 80, PAIR_MUL_LIMIT * 600 // 80 + d) for d in (-1, 0, 1)),
+            *((1189, 118, other) for other in (161, 162)),
+            # many pairs of factors of unlike density: packed, not the pair loop
+            (10000, 399, 2400),
         ],
     )
     def test_both_paths_agree_at_the_dispatch_boundary(self, order, nonzero, other, monkeypatch):
@@ -273,7 +280,7 @@ class TestProductProperties:
         a, b = QSeries.from_coeffs(sparse, order), QSeries.from_coeffs(dense, order)
         # every path at the full window and at one shorter than the factors
         for width in (order, order - 7):
-            expected = naive_series_mul(dict(enumerate(sparse)), dict(enumerate(dense)), width)
+            expected = naive_series_mul(series_to_dict(a), series_to_dict(b), width)
             for path in (qseries._pair_product, qseries._sparse_product, qseries._packed_product):
                 got = path(sparse, dense, width)
                 assert len(got) == width and {e: c for e, c in enumerate(got) if c} == expected
@@ -283,12 +290,12 @@ class TestProductProperties:
             monkeypatch.setattr(qseries, name, lambda *args, _real=real, _name=name: paths.append(_name) or _real(*args))
         product = a * b
         other = other or order
-        if not (nonzero < SPARSE_MUL_LIMIT or SPARSE_MUL_DENSITY * nonzero < other):
-            assert paths == ["_packed_product"]
-        elif PAIR_MUL_DENSITY * other < order:
-            assert paths == ["_pair_product"]
-        else:
+        if PAIR_MUL_DENSITY * other < order:
+            assert paths == ["_pair_product" if nonzero * other < PAIR_MUL_LIMIT * order else "_packed_product"]
+        elif nonzero < SPARSE_MUL_LIMIT or SPARSE_MUL_DENSITY * nonzero < other:
             assert paths == ["_sparse_product"]
+        else:
+            assert paths == ["_packed_product"]
         assert series_to_dict(product) == naive_series_mul(series_to_dict(a), series_to_dict(b), order)
         # negative valuation: the product's bound drops with it
         low = a.shift(-2)
@@ -296,6 +303,21 @@ class TestProductProperties:
         product = low * high
         assert product.order == low.order - 2
         assert series_to_dict(product) == naive_series_mul(series_to_dict(low), series_to_dict(high), product.order)
+
+    @pytest.mark.parametrize("order", [1189, 10000])
+    def test_theta_and_euler_products_take_the_pair_loop(self, order, monkeypatch):
+        # the products of lemmas 5.1, 5.2 and 5.4: 30 to 170 nonzeros
+        # each, a few term pairs per window slot
+        phi, f53, f17 = euler_phi(order), theta_f(5, 3, order), theta_f(1, 7, order)
+        paths = []
+        for name in ("_pair_product", "_sparse_product", "_packed_product"):
+            real = getattr(qseries, name)
+            monkeypatch.setattr(qseries, name, lambda *args, _real=real, _name=name: paths.append(_name) or _real(*args))
+        for a, b in ((f53, f53), (f17, f17), (phi, f53), (phi, f17), (phi, phi), (phi, euler_phi(order, 2))):
+            paths.clear()
+            product = a * b
+            assert paths == ["_pair_product"]
+            assert series_to_dict(product) == naive_series_mul(series_to_dict(a), series_to_dict(b), order)
 
     @pytest.mark.parametrize(
         "window, length, m, m2, bits",
@@ -310,19 +332,27 @@ class TestProductProperties:
                 (15, 17, 257, 16),
                 (15, (2**34 - 1) // 3, (2**34 + 1) // 5, 68),
                 (1, 2**35 - 1, 2**35 + 1, 70),
+                # a first coefficient of b far above the rest
+                (33, 1, 1, 20),
+                (33, 3, 5, 40),
             )
             if factors[0] <= window
         ],
     )
     @pytest.mark.parametrize("signs", ["plus", "minus", "alternating"])
     def test_packed_product_at_the_slot_bound(self, window, length, m, m2, bits, signs):
-        # `length` coefficients m against `window` coefficients +-m2, with
-        # length * m * m2 = 2^bits - 1: the product's bound, so the slot is
-        # bits + 1 wide and, from exponent length - 1 on, a slot holds
-        # +-(2^(slot - 1) - 1) (both signs at once for length 1 alternating).
-        assert length * m * m2 == 2**bits - 1
+        # `length` coefficients m against `window` coefficients +-m2, the
+        # first one +-lead, with m * (lead + (length - 1) * m2) = 2^bits - 1:
+        # that is m * sum|b|, the product's bound, so the slot is bits + 1
+        # wide and at exponent length - 1 a slot holds +-(2^(slot - 1) - 1)
+        # (both signs at once for length 1 alternating).  Where lead > m2,
+        # max|a| max|b| length would give a wider slot.
+        lead = (2**bits - 1) // m - (length - 1) * m2
+        assert m * (lead + (length - 1) * m2) == 2**bits - 1 and lead >= m2
+        assert (lead == m2) == (length * m * m2 == 2**bits - 1)
         a = [m] * length
         b = [m2 * (-1 if signs == "minus" or (signs == "alternating" and j % 2) else 1) for j in range(window)]
+        b[0] = lead * (-1 if signs == "minus" else 1)
         got = qseries._packed_product(a, b, window)
         assert len(got) == window
         assert {e: c for e, c in enumerate(got) if c} == naive_series_mul(dict(enumerate(a)), dict(enumerate(b)), window)
@@ -402,24 +432,27 @@ def inversion_inputs(draw):
 
 
 def newton_steps(s, inverse):
-    """Newton steps `s.invert()` should take: none for a series sparse
-    enough for the product's sparse path; otherwise as many as double the
-    first prefix of at least SPARSE_MUL_LIMIT coefficients that are all
-    narrower in bits than its length up to the order."""
+    """Targets of the Newton steps `s.invert()` should take, in order:
+    none for a series sparse enough for the product's sparse path;
+    otherwise the rungs of the ladder order, ceil(order / 2),
+    ceil(order / 4), ... above the first prefix of at least
+    SPARSE_MUL_LIMIT coefficients that are all narrower in bits than its
+    length."""
     nonzero = len(s.coeffs) - s.coeffs.count(0)
     if nonzero < SPARSE_MUL_LIMIT or SPARSE_MUL_DENSITY * nonzero < s.order:
-        return 0
+        return []
     width = list(itertools.accumulate((c.bit_length() for c in inverse.coefficient_list()), max))
     known = next((e for e in range(SPARSE_MUL_LIMIT, s.order) if width[e - 1] < e), s.order)
-    steps = 0
-    while known < s.order:
-        steps, known = steps + 1, 2 * known
-    return steps
+    targets, target = [], s.order
+    while target > known:
+        targets.insert(0, target)
+        target = -(-target // 2)
+    return targets
 
 
 class TestInversionProperties:
-    # Order 32 needs no Newton step and 64 ends on a doubling of the known
-    # prefix; 33, 65 and 97 end with a short last step.
+    # From 32 known coefficients, order 32 needs no Newton step, 64 one;
+    # 33 takes a one-coefficient step, 65 climbs through 33 and 97 through 49.
     @settings(max_examples=100, deadline=None)
     @given(inversion_inputs())
     @example(partition_power(32, 1, 1))
@@ -432,8 +465,11 @@ class TestInversionProperties:
             inverse = s.invert()
         expected = invert_by_recurrence(s)
         assert inverse == expected
-        # two products per Newton step, none on the recurrence
-        assert product.call_count == 2 * newton_steps(s, expected)
+        # two products per Newton step, none on the recurrence, the first
+        # of each as wide as the step's target
+        targets = newton_steps(s, expected)
+        assert product.call_count == 2 * len(targets)
+        assert [call.args[2] for call in product.call_args_list[::2]] == targets
 
     @settings(max_examples=100, deadline=None)
     @given(unit_series())

@@ -240,22 +240,25 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n, boxes", [(41, 60), (12, 40)])
     def test_count_blocks_are_filled_lazily(self, n, boxes, monkeypatch):
-        # The search appends `mult` rows per shape, and fills a block of
-        # tail cells only on first use, so it never calls `_add_row` more
-        # often than that.  A memo filled up front would make about n^4 / 2
-        # calls, some 1.4 million for n = 41.
-        calls = 0
-        add_row = young._add_row
+        # A block of color-0 tail cells is counted on first use of its key
+        # (last part mod n, its multiplicity, rows above mod n), once.  A
+        # memo filled up front would count all n^3 keys, 68 921 for n = 41.
+        calls = []
+        zero_tail = young._zero_tail
 
-        def counting(counts, length, row):
-            nonlocal calls
-            calls += 1
-            add_row(counts, length, row)
+        def counting(length, mult, rows, n):
+            calls.append((length, mult, rows))
+            return zero_tail(length, mult, rows, n)
 
-        monkeypatch.setattr(young, "_add_row", counting)
+        monkeypatch.setattr(young, "_zero_tail", counting)
         table = young._shape_table(n, boxes)
-        appended = sum(p.pairs[-1][1] for shapes, _ in table for p in shapes if p.pairs)
-        assert 0 < calls <= appended
+        keys = set()
+        for shapes, _ in table:
+            for p in shapes:
+                if p.pairs:
+                    part, mult = p.pairs[-1]
+                    keys.add((part % n, mult, (sum(f for _, f in p.pairs) - mult) % n))
+        assert sorted(calls) == sorted(keys)
 
     def test_equal_last_pairs_share_one_tuple(self):
         table = young._shape_table(3, 30)
@@ -278,11 +281,11 @@ class TestEnumeration:
             (gc.enable if was else gc.disable)()
 
     def test_collector_is_restored_when_the_search_raises(self, monkeypatch):
-        def broken(counts, length, row):
+        def broken(length, mult, rows, n):
             assert not gc.isenabled()
             raise RuntimeError("row")
 
-        monkeypatch.setattr(young, "_add_row", broken)
+        monkeypatch.setattr(young, "_zero_tail", broken)
         assert gc.isenabled()
         with pytest.raises(RuntimeError, match="row"):
             young._shape_table(2, 10)
