@@ -169,34 +169,30 @@ def check_lemma_5_4(order: int) -> IdentityReport:
     return _report("lemma5.4", order, None)
 
 
-_MOD15_EXCLUSIONS = {
-    "c+": frozenset({0, 7, 8}),
-    "c-": frozenset({0, 2, 13}),
-    "d+": frozenset({0, 4, 11}),
-    "d-": frozenset({0, 1, 14}),
-}
+# Part classes mod 15 left out of the four restricted series c+, c-, d+, d-.
+_MOD15_EXCLUSIONS = (
+    frozenset({0, 7, 8}),
+    frozenset({0, 2, 13}),
+    frozenset({0, 4, 11}),
+    frozenset({0, 1, 14}),
+)
 
 
-# Four tags per order; eight entries hold the current and previous order.
-@functools.lru_cache(maxsize=8)
-def _mod15_series(tag: str, order: int) -> QSeries:
-    return qs.restricted_partition_gf(_MOD15_EXCLUSIONS[tag], 15, order)
+def _mod15_counts(order: int) -> tuple[list[int], ...]:
+    """Coefficients of the series c+, c-, d+, d- below `order`, each list
+    followed by two zeros, so index -1 or -2 (a count at m < 0) reads 0."""
+    return tuple(
+        qs.restricted_partition_gf(excluded, 15, order).coefficient_list() + [0, 0]
+        for excluded in _MOD15_EXCLUSIONS
+    )
 
 
-def _count_at(tag: str, m: int, order: int) -> int:
-    """Restricted partition count, with count(0) = 1 and count(m < 0) = 0."""
-    if m < 0:
-        return 0
-    return _mod15_series(tag, order).coeff(m)
-
-
-def _quadruple(k: int, order: int) -> tuple[int, int, int, int]:
-    """(a, b, c, d) at index k, reading the mod-15 series at `order` > k."""
+def _quadruple(k: int, counts: tuple[list[int], ...]) -> tuple[int, int, int, int]:
+    """(a, b, c, d) at index k, reading `_mod15_counts` of an order > k."""
+    c_plus, c_minus, d_plus, d_minus = counts
     a = count_maximal_shapes(3, 3 * k)
     b = count_maximal_shapes(3, 3 * k - 2)
-    c = _count_at("c+", k, order) - _count_at("c-", k - 1, order)
-    d = _count_at("d+", k - 1, order) + _count_at("d-", k - 2, order)
-    return a, b, c, d
+    return a, b, c_plus[k] - c_minus[k - 1], d_plus[k - 1] + d_minus[k - 2]
 
 
 def partition_identity_counts(k: int) -> tuple[int, int, int, int]:
@@ -209,7 +205,7 @@ def partition_identity_counts(k: int) -> tuple[int, int, int, int]:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return _quadruple(k, k + 1)
+    return _quadruple(k, _mod15_counts(k + 1))
 
 
 def check_theorem_5_1(max_k: int) -> IdentityReport:
@@ -219,7 +215,8 @@ def check_theorem_5_1(max_k: int) -> IdentityReport:
         raise ValueError("max_k must be nonnegative")
     # Largest first, so the chain-count table is built once at full size.
     count_maximal_shapes(3, 3 * max_k)
-    quadruples = [_quadruple(k, max_k + 1) for k in range(max_k + 1)]
+    counts = _mod15_counts(max_k + 1)
+    quadruples = [_quadruple(k, counts) for k in range(max_k + 1)]
     for k, (a, _, c, _) in enumerate(quadruples):
         if a != c:
             return _report(f"theorem5.1[a=c,k={k}]", max_k, (k, a, c))

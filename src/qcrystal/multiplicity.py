@@ -14,6 +14,7 @@ only in conjecture mode, and results are reported rather than asserted.
 
 import functools
 from dataclasses import dataclass
+from math import isqrt
 
 from . import qseries as qs
 from .qseries import QSeries
@@ -109,21 +110,9 @@ def multiplicity_table(n: int, max_k: int, witness_cap: int | None = None) -> Mu
     return MultiplicityTable(n, max_k, entries)
 
 
-_partitions = [1]  # p(0), p(1), ... as far as any table has needed
-
-
-def _partition_number(m: int) -> int:
-    """Exact p(m) from Euler's pentagonal-number recurrence."""
-    p = _partitions
-    for k in range(len(p), m + 1):
-        total, j, g = 0, 1, 1
-        while g <= k:
-            term = p[k - g] + (p[k - g - j] if g + j <= k else 0)
-            total += term if j % 2 else -term
-            j += 1
-            g = j * (3 * j - 1) // 2
-        p.append(total)
-    return p[m]
+def _slot_width(boxes: int) -> int:
+    """Bits per count slot of `_count_table` at `boxes`; the proof is there."""
+    return isqrt(137 * boxes // 10) + 2
 
 
 def _count_table(n: int, boxes: int) -> tuple[tuple[int, ...], ...]:
@@ -134,10 +123,18 @@ def _count_table(n: int, boxes: int) -> tuple[tuple[int, ...], ...]:
     and f rows of p keep c - 2r and boxes - r^2 fixed mod n (both start at
     0).  So f = (p - 2r) mod n, and state r packs one `width`-bit slot per
     box count r^2 mod n + s*n into an int; a transition is one shift-add.
-    p(boxes) plus a spare top bit bounds every slot.  State r ends in
-    component min(r, n - r), which shares its residue class.
+    State r ends in component min(r, n - r), which shares its residue class.
+
+    Every slot counts partitions of one box count B' <= B = `boxes`, at
+    most p(B') <= p(B), so p(B)'s bits plus a sign bit hold it.  For
+    B >= 1, p(B) < exp(pi sqrt(2B/3)) (T. M. Apostol, Introduction to
+    Analytic Number Theory, ch. 14), so j = p(B).bit_length() - 1
+    <= log2 p(B) < c sqrt(B) with c = pi sqrt(2/3) / ln 2, c^2 = 13.69...
+    < 13.7.  The integer j^2 is then below 137 B / 10, so at most
+    137 B // 10, and j <= isqrt(137 B // 10); p(0) = 1 meets that bound
+    too.  So `_slot_width` is isqrt(137 B // 10) + 2.
     """
-    width = _partition_number(boxes).bit_length() + 1
+    width = _slot_width(boxes)
     base = [r * r % n for r in range(n)]
     slots = [(boxes - b) // n + 1 for b in base]
     states = [1] + [0] * (n - 1)

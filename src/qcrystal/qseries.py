@@ -54,13 +54,12 @@ __all__ = [
 PAIR_MUL_DENSITY = 4
 PAIR_MUL_LIMIT = 16
 
-# Otherwise a product whose sparser factor has fewer nonzero coefficients
-# than SPARSE_MUL_LIMIT, or SPARSE_MUL_DENSITY times fewer than the other
-# (a theta series against a dense one, say), takes one slice pass per
-# term; other products are packed into one big integer per factor.
-# `_product` applies the rules; `QSeries.invert` reads these two, to
-# pick between its term recurrence and Newton steps.
-SPARSE_MUL_LIMIT = 32
+# Otherwise a product whose sparser factor has SPARSE_MUL_DENSITY times
+# fewer nonzero coefficients than the other (a theta series against a
+# dense one, say) takes one slice pass per term; other products are
+# packed into one big integer per factor.  `_product` applies the rules;
+# `QSeries.invert` reads SPARSE_MUL_DENSITY, to pick between its term
+# recurrence and Newton steps.
 SPARSE_MUL_DENSITY = 6
 
 
@@ -243,15 +242,14 @@ class QSeries:
 
         The term recurrence finds one coefficient per pass over the nonzero
         terms.  A series too dense to be the sparse factor of a product
-        leaves it once at least SPARSE_MUL_LIMIT coefficients are known and
-        each has fewer bits than their count.  From there Newton steps
-        g <- g - g * (a * g - 1) climb the targets ..., ceil(N/4),
-        ceil(N/2), N the order, each with two products cut to its target
-        and at most doubling the known prefix (H. T. Kung, Numer. Math. 22
-        (1974) 341-348); no step divides, so all are exact.  Inverses that
-        grow by a bit or more per exponent stay on the recurrence: a packed
-        product sizes every slot for the largest coefficient, and there it
-        loses to the narrow terms.
+        leaves it once every known coefficient has fewer bits than their
+        count.  From there Newton steps g <- g - g * (a * g - 1) climb the
+        targets ..., ceil(N/4), ceil(N/2), N the order, each with two
+        products cut to its target and at most doubling the known prefix
+        (H. T. Kung, Numer. Math. 22 (1974) 341-348); no step divides, so
+        all are exact.  Inverses that grow by a bit or more per exponent
+        stay on the recurrence: a packed product sizes every slot for the
+        largest coefficient, and there it loses to the narrow terms.
         """
         if self.is_zero or self.lowest != 0 or self.coeffs[0] not in (1, -1):
             raise NonUnitConstantError("inversion needs lowest = 0 and constant term +-1")
@@ -260,11 +258,11 @@ class QSeries:
         order = self.order
         support = [j for j in range(1, len(a)) if a[j]]
         nonzero = len(support) + 1
-        dense = nonzero >= SPARSE_MUL_LIMIT and SPARSE_MUL_DENSITY * nonzero >= order
+        dense = SPARSE_MUL_DENSITY * nonzero >= order
         out = [c0]  # 1/c0 == c0 for units
         width = 1
         for e in range(1, order):
-            if dense and e >= SPARSE_MUL_LIMIT and width < e:
+            if dense and width < e:
                 break
             acc = 0
             for j in support:
@@ -307,7 +305,7 @@ def _product(a, b, width: int) -> list[int]:
     if PAIR_MUL_DENSITY * nonzero_b < width:
         if nonzero_a * nonzero_b < PAIR_MUL_LIMIT * width:
             return _pair_product(a, b, width)
-    elif nonzero_a < SPARSE_MUL_LIMIT or SPARSE_MUL_DENSITY * nonzero_a < nonzero_b:
+    elif SPARSE_MUL_DENSITY * nonzero_a < nonzero_b:
         return _sparse_product(a, b, width)
     return _packed_product(a, b, width)
 

@@ -5,7 +5,7 @@ never calls."""
 import functools
 import json
 
-from qcrystal.multiplicity import _entry_terms, _partition_number, _unpack, residue_block
+from qcrystal.multiplicity import _entry_terms, _unpack, residue_block
 from qcrystal.qseries import QSeries, theta_f, theta_g
 
 
@@ -28,6 +28,23 @@ def partitions_upto(limit):
     for total in range(limit + 1):
         out.extend(partitions_of(total))
     return tuple(out)
+
+
+_partition_numbers = [1]  # p(0), p(1), ... as far as any test has needed
+
+
+def partition_number(m):
+    """Exact p(m) from Euler's pentagonal-number recurrence."""
+    p = _partition_numbers
+    for k in range(len(p), m + 1):
+        total, j, g = 0, 1, 1
+        while g <= k:
+            term = p[k - g] + (p[k - g - j] if g + j <= k else 0)
+            total += term if j % 2 else -term
+            j += 1
+            g = j * (3 * j - 1) // 2
+        p.append(total)
+    return p[m]
 
 
 def count_partitions(total, allowed=None):
@@ -205,8 +222,9 @@ def multiplicity_table_by_filter(n, max_k, witness_cap=None):
 def count_table_by_pair_states(n, boxes):
     """Per-component chain-shape counts for every box count up to `boxes`,
     from a DP keyed by (c, r) = ((last part + its multiplicity) mod n,
-    rows mod n) with one packed slot per box count in every state."""
-    width = _partition_number(boxes).bit_length() + 1
+    rows mod n) with one packed slot per box count in every state, each
+    slot p(boxes)'s bits plus a sign bit wide, not the library's bound."""
+    width = partition_number(boxes).bit_length() + 1
     slots = boxes + 1
     states = {(0, 0): 1}
     for part in range(boxes, 0, -1):

@@ -3,7 +3,6 @@ import pytest
 from qcrystal import identities, multiplicity, qseries
 from qcrystal.identities import (
     IdentityReport,
-    _mod15_series,
     check_lemma_5_1,
     check_lemma_5_2,
     check_lemma_5_3,
@@ -184,10 +183,20 @@ class TestCountingIdentities:
     def test_theorem_check_at_scale(self):
         assert check_theorem_5_1(1000).holds
 
-    def test_theorem_check_builds_each_series_once(self):
-        _mod15_series.cache_clear()
+    def test_theorem_check_builds_each_series_once(self, monkeypatch):
+        orders = []
+        real = qseries.restricted_partition_gf
+
+        def counting(excluded, modulus, order):
+            orders.append(order)
+            return real(excluded, modulus, order)
+
+        monkeypatch.setattr(qseries, "restricted_partition_gf", counting)
         assert check_theorem_5_1(40).holds
-        assert _mod15_series.cache_info().misses == 4
+        assert orders == [41] * 4
+        orders.clear()
+        partition_identity_counts(7)
+        assert orders == [8] * 4
 
     def test_theorem_check_builds_chain_table_once(self, monkeypatch):
         builds = []
@@ -220,11 +229,6 @@ class TestCountingIdentities:
         report = check_theorem_5_1(8)
         assert (report.name, report.first_discrepancy) == ("theorem5.1[b=d,k=2]", (2, b2, d2))
         assert not report.holds and b2 == d2 + 1
-
-    def test_restricted_series_cache_is_bounded(self):
-        for k in range(50):
-            partition_identity_counts(k)
-        assert _mod15_series.cache_info().currsize <= 8
 
 
 class TestMasterCheck:

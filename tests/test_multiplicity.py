@@ -27,6 +27,7 @@ from helpers import (
     count_table_by_pair_states,
     entry_via_separation,
     multiplicity_table_by_filter,
+    partition_number,
 )
 
 # Known decomposition table for n=3: multiplicities and witness shapes.
@@ -167,6 +168,18 @@ class TestCounting:
         assert multiplicity._count_table(n, 1) == ((1, 0), (0, 1)) + ((0, 0),) * (n // 2 - 1)
         for boxes in (0, 1, 2):
             assert multiplicity._count_table(n, boxes) == count_table_by_pair_states(n, boxes)
+
+    def test_slot_width_holds_the_partition_number_and_a_sign_bit(self):
+        for boxes in [*range(5001), 9000, 20000]:
+            assert multiplicity._slot_width(boxes) >= partition_number(boxes).bit_length() + 1, boxes
+        assert [multiplicity._slot_width(b) for b in (0, 9000)] == [2, 353]
+
+    def test_table_unpacks_at_the_slot_width(self, monkeypatch):
+        widths = []
+        real = multiplicity._unpack
+        monkeypatch.setattr(multiplicity, "_unpack", lambda poly, width, slots: widths.append(width) or real(poly, width, slots))
+        multiplicity._count_table(3, 300)
+        assert widths == [multiplicity._slot_width(300)] * 2
 
     def test_negative_boxes(self):
         assert count_maximal_shapes(3, -2) == 0

@@ -10,7 +10,6 @@ from qcrystal.qseries import (
     PAIR_MUL_DENSITY,
     PAIR_MUL_LIMIT,
     SPARSE_MUL_DENSITY,
-    SPARSE_MUL_LIMIT,
     NonUnitConstantError,
     OrderMismatchError,
     QSeries,
@@ -189,11 +188,14 @@ coefficients = st.one_of(st.integers(-9, 9), st.integers(-(2**80), 2**80))
 
 
 @st.composite
-def series(draw, order, near=SPARSE_MUL_LIMIT):
+def series(draw, order, near=None):
     """A series at `order`, possibly zero, possibly with negative
     valuation: dense, or with a nonzero count anywhere in its window or
-    within 2 of `near`.  Sparse positions come from a drawn random
-    generator, every value from `coefficients`."""
+    within 2 of `near`, by default a SPARSE_MUL_DENSITY-th of the order.
+    Sparse positions come from a drawn random generator, every value from
+    `coefficients`."""
+    if near is None:
+        near = order // SPARSE_MUL_DENSITY
     lowest = draw(st.integers(-3, min(3, order - 1)))
     length = order - lowest
     if draw(st.booleans()):
@@ -211,17 +213,17 @@ def series(draw, order, near=SPARSE_MUL_LIMIT):
 @st.composite
 def factor_pairs(draw):
     """Two series at one order, the second possibly next to one of the
-    product's dispatch boundaries against the first: the fixed limit, the
-    first's nonzero count over the density factor, or the share of the
-    window, 1/PAIR_MUL_DENSITY, below which two sparse factors are
-    multiplied term pair by term pair (at these orders they always make
-    fewer than PAIR_MUL_LIMIT pairs per slot).  Orders reach past
-    SPARSE_MUL_DENSITY * SPARSE_MUL_LIMIT, below which the limit decides."""
-    limit = SPARSE_MUL_DENSITY * SPARSE_MUL_LIMIT
-    order = draw(st.one_of(st.integers(1, 3 * SPARSE_MUL_LIMIT), st.integers(limit, limit + 64)))
+    product's dispatch boundaries against the first: the first's nonzero
+    count over or times the density factor, or the share of the window,
+    1/PAIR_MUL_DENSITY, below which two sparse factors are multiplied term
+    pair by term pair (at orders up to 256 they always make fewer than
+    PAIR_MUL_LIMIT pairs per slot)."""
+    order = draw(st.integers(1, 256))
     a = draw(series(order))
     nonzero = len(a.coeffs) - a.coeffs.count(0)
-    near = draw(st.sampled_from((max(SPARSE_MUL_LIMIT, nonzero // SPARSE_MUL_DENSITY), order // PAIR_MUL_DENSITY)))
+    near = draw(
+        st.sampled_from((nonzero // SPARSE_MUL_DENSITY, nonzero * SPARSE_MUL_DENSITY, order // PAIR_MUL_DENSITY))
+    )
     return a, draw(series(order, near=near))
 
 
@@ -245,9 +247,9 @@ class TestProductProperties:
     @pytest.mark.parametrize(
         "order, nonzero, other",
         [
-            # a narrow window against a dense factor: the fixed limit
-            *((4 * SPARSE_MUL_LIMIT, k, None) for k in (SPARSE_MUL_LIMIT - 1, SPARSE_MUL_LIMIT, 4 * SPARSE_MUL_LIMIT)),
-            # two wide windows against a dense factor: a 1/SPARSE_MUL_DENSITY share
+            # windows against a dense factor: a 1/SPARSE_MUL_DENSITY share,
+            # however few nonzeros that is
+            *((128, k, None) for k in (21, 22, 31, 32, 128)),
             *((w * SPARSE_MUL_DENSITY, w + d, None) for w in (40, 100) for d in (-1, 0, 1)),
             # two sparse factors: the other factor's nonzero count
             *((600, 40 + d, 40 * SPARSE_MUL_DENSITY) for d in (-1, 0, 1)),
@@ -292,7 +294,7 @@ class TestProductProperties:
         other = other or order
         if PAIR_MUL_DENSITY * other < order:
             assert paths == ["_pair_product" if nonzero * other < PAIR_MUL_LIMIT * order else "_packed_product"]
-        elif nonzero < SPARSE_MUL_LIMIT or SPARSE_MUL_DENSITY * nonzero < other:
+        elif SPARSE_MUL_DENSITY * nonzero < other:
             assert paths == ["_sparse_product"]
         else:
             assert paths == ["_packed_product"]
@@ -409,16 +411,15 @@ def partition_power(order, k, sign):
 @st.composite
 def inversion_inputs(draw):
     """A series with lowest 0 and constant term +-1 at an order up to 300,
-    with a nonzero count anywhere in its window or within 2 of one of the
-    inversion's dispatch boundaries: SPARSE_MUL_LIMIT, or a
-    SPARSE_MUL_DENSITY-th of the order.  Positions come from a drawn
-    random generator; values are +-1, whose inverses mostly grow by less
-    than a bit per exponent, or come from `coefficients`, whose inverses
-    mostly grow faster.  A +-1 draw may be divided by a power of phi(q),
+    with a nonzero count anywhere in its window or within 2 of the
+    inversion's dispatch boundary, a SPARSE_MUL_DENSITY-th of the order.
+    Positions come from a drawn random generator; values are +-1, whose
+    inverses mostly grow by less than a bit per exponent, or come from
+    `coefficients`, whose inverses mostly grow faster.  A +-1 draw may be divided by a power of phi(q),
     which makes it dense with wide coefficients and keeps its inverse
     narrow."""
     order = draw(st.integers(1, 300))
-    near = draw(st.sampled_from((SPARSE_MUL_LIMIT, order // SPARSE_MUL_DENSITY)))
+    near = order // SPARSE_MUL_DENSITY
     count = min(max(draw(st.one_of(st.integers(1, order), st.integers(near - 2, near + 2))), 1), order)
     positions = draw(st.randoms(use_true_random=False)).sample(range(1, order), count - 1)
     values = draw(st.sampled_from((unit_values, coefficients.filter(bool))))
@@ -435,14 +436,13 @@ def newton_steps(s, inverse):
     """Targets of the Newton steps `s.invert()` should take, in order:
     none for a series sparse enough for the product's sparse path;
     otherwise the rungs of the ladder order, ceil(order / 2),
-    ceil(order / 4), ... above the first prefix of at least
-    SPARSE_MUL_LIMIT coefficients that are all narrower in bits than its
-    length."""
+    ceil(order / 4), ... above the first prefix of coefficients that are
+    all narrower in bits than its length."""
     nonzero = len(s.coeffs) - s.coeffs.count(0)
-    if nonzero < SPARSE_MUL_LIMIT or SPARSE_MUL_DENSITY * nonzero < s.order:
+    if SPARSE_MUL_DENSITY * nonzero < s.order:
         return []
     width = list(itertools.accumulate((c.bit_length() for c in inverse.coefficient_list()), max))
-    known = next((e for e in range(SPARSE_MUL_LIMIT, s.order) if width[e - 1] < e), s.order)
+    known = next((e for e in range(1, s.order) if width[e - 1] < e), s.order)
     targets, target = [], s.order
     while target > known:
         targets.insert(0, target)
@@ -451,8 +451,9 @@ def newton_steps(s, inverse):
 
 
 class TestInversionProperties:
-    # From 32 known coefficients, order 32 needs no Newton step, 64 one;
-    # 33 takes a one-coefficient step, 65 climbs through 33 and 97 through 49.
+    # The recurrence knows 2, 3, 5, 14 and 18 coefficients of these
+    # inverses when it stops: 32 climbs 4, 8, 16, 32; 33 climbs 5, 9, 17,
+    # 33; 64 climbs 8, 16, 32, 64; 65 climbs 17, 33, 65; 97 climbs 25, 49, 97.
     @settings(max_examples=100, deadline=None)
     @given(inversion_inputs())
     @example(partition_power(32, 1, 1))
@@ -987,6 +988,8 @@ class TestDeterminant:
         monkeypatch.setattr(qseries, "_pack", forbidden)
         qseries._cofactors.cache_clear()
         assert cofactors(mat) == (mat[1][1], -mat[1][0])
+        # det reuses those cofactors; only its row-0 products may pack
+        monkeypatch.undo()
         assert det(mat) == expected
 
     def test_rejects_bad_shapes(self):
