@@ -75,6 +75,15 @@ def _print_json_rows(head: dict, key: str, rows) -> None:
 # -- decompose --------------------------------------------------------------
 
 
+def _witness_cell(entry, separator: str) -> str:
+    """The entry's witnesses joined by `separator`, then `+N more` for the
+    ones the cap left out."""
+    cells = [str(w) for w in entry.witnesses]
+    if entry.omitted:
+        cells.append(f"+{entry.omitted} more")
+    return separator.join(cells)
+
+
 def _cmd_decompose(args) -> int:
     table = multiplicity.multiplicity_table(args.n, args.max_k, args.witness_cap)
     if args.format == "json":
@@ -93,43 +102,44 @@ def _cmd_decompose(args) -> int:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["i", "k", "b", "witnesses"])
         for (i, k), entry in table.rows():
-            cell = " ".join(str(w) for w in entry.witnesses)
-            if entry.omitted:
-                cell = f"{cell} +{entry.omitted} more".strip()
-            writer.writerow([i, k, entry.count, cell])
+            writer.writerow([i, k, entry.count, _witness_cell(entry, " ")])
     else:
         print(f"multiplicities for n={table.n}, k up to {table.max_k}")
         for (i, k), entry in table.rows():
-            cell = ", ".join(str(w) for w in entry.witnesses)
-            if entry.omitted:
-                cell = f"{cell}, +{entry.omitted} more" if cell else f"+{entry.omitted} more"
-            print(f"  i={i} k={k} b={entry.count:<4d} {cell}")
+            print(f"  i={i} k={k} b={entry.count:<4d} {_witness_cell(entry, ', ')}")
     return EXIT_OK
 
 
 # -- bseries ----------------------------------------------------------------
 
 
-def _series_rows(args, i: int, order: int):
-    """Per-component coefficient data; theta errors are captured as text."""
+# Each route maps (args, i, order) to the series B_i.  The functions are
+# looked up at call time, so wrappers and test doubles are seen.
+ROUTES = {
+    "comb": lambda args, i, order: multiplicity.gf_comb(i, args.n, order),
+    "theta": lambda args, i, order: multiplicity.gf_theta(i, args.n, order, args.conjecture),
+}
+METHODS = {"comb": ("comb",), "theta": ("theta",), "both": ("comb", "theta")}
+
+
+def _series_row(routes: tuple[str, ...], args, i: int, order: int) -> dict:
+    """Coefficients of component i along each route; a failed solve is
+    kept as `<route>_error` text, and `equal` is set when every route ran."""
     data: dict[str, object] = {"i": i}
-    if args.method in ("comb", "both"):
-        data["comb"] = multiplicity.gf_comb(i, args.n, order).coefficient_list()
-    if args.method in ("theta", "both"):
+    for route in routes:
         try:
-            data["theta"] = multiplicity.gf_theta(
-                i, args.n, order, conjecture=args.conjecture
-            ).coefficient_list()
+            data[route] = ROUTES[route](args, i, order).coefficient_list()
         except NonUnitDeterminantError as exc:
-            data["theta_error"] = str(exc)
-    if "comb" in data and "theta" in data:
-        data["equal"] = data["comb"] == data["theta"]
+            data[f"{route}_error"] = str(exc)
+    if len(routes) > 1 and all(route in data for route in routes):
+        data["equal"] = all(data[route] == data[routes[0]] for route in routes)
     return data
 
 
 def _cmd_bseries(args) -> int:
     order = _resolve_order(args, ("order",), 20)
-    if args.method in ("theta", "both"):
+    routes = METHODS[args.method]
+    if "theta" in routes:
         _, proven = multiplicity.theta_branch(args.n)
         if not proven and not args.conjecture:
             print(
@@ -137,40 +147,29 @@ def _cmd_bseries(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_UNSUPPORTED
+    # The routes reject an out-of-range --i before any output is written.
     components = [args.i] if args.i is not None else list(range(args.n // 2 + 1))
-    for i in components:
-        if not 0 <= i <= args.n // 2:
-            raise ValueError(f"component index {i} out of range for n={args.n}")
-    rows = [_series_rows(args, i, order) for i in components]
+    rows = [_series_row(routes, args, i, order) for i in components]
     if args.format == "json":
         head = {"n": args.n, "order": order, "method": args.method, "conjecture": args.conjecture}
         _print_json_rows(head, "series", rows)
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        header = ["i", "m"] + [m for m in ("comb", "theta") if args.method in (m, "both")]
-        writer.writerow(header)
+        writer.writerow(["i", "m", *routes])
         for data in rows:
             for m in range(order):
-                line = [data["i"], m]
-                if "comb" in data:
-                    line.append(data["comb"][m])
-                if "theta" in data:
-                    line.append(data["theta"][m])
-                elif "theta_error" in data:
-                    line.append("error")
-                writer.writerow(line)
+                cells = (data[r][m] if r in data else "error" for r in routes)
+                writer.writerow([data["i"], m, *cells])
     else:
         for data in rows:
             i = data["i"]
-            if "comb" in data:
-                print(f"i={i} comb : " + " ".join(str(c) for c in data["comb"]))
-            if "theta" in data:
-                print(f"i={i} theta: " + " ".join(str(c) for c in data["theta"]))
-            if "theta_error" in data:
-                print(f"i={i} theta: unavailable ({data['theta_error']})")
+            for route in routes:
+                if route in data:
+                    print(f"i={i} {route:<5}: " + " ".join(str(c) for c in data[route]))
+                else:
+                    print(f"i={i} {route:<5}: unavailable ({data[f'{route}_error']})")
             if "equal" in data:
-                verdict = "agree" if data["equal"] else "DISAGREE"
-                print(f"i={i} pipelines {verdict} to order {order}")
+                print(f"i={i} pipelines {'agree' if data['equal'] else 'DISAGREE'} to order {order}")
     return EXIT_OK
 
 
@@ -262,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bs.add_argument("--n", type=int, required=True)
     p_bs.add_argument("--i", type=int, default=None, help="component index; default all")
     p_bs.add_argument("--order", type=int, default=None)
-    p_bs.add_argument("--method", choices=("comb", "theta", "both"), default="comb")
+    p_bs.add_argument("--method", choices=tuple(METHODS), default="comb")
     p_bs.add_argument("--conjecture", action="store_true")
     p_bs.add_argument("--format", choices=("json", "csv", "table"), default="table")
     p_bs.set_defaults(func=_cmd_bseries)

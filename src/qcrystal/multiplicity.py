@@ -212,7 +212,7 @@ def gf_comb(i: int, n: int, order: int) -> QSeries:
     if n < 2:
         raise ValueError("modulus n must be at least 2")
     if not 0 <= i <= n // 2:
-        raise ValueError("component index out of range")
+        raise ValueError(f"component index {i} out of range for n={n}")
     if order < 1:
         raise ValueError("order must be at least 1")
     # Size for the highest component so every component at this order
@@ -350,7 +350,7 @@ def gf_theta(i: int, n: int, order: int, conjecture: bool = False) -> QSeries:
     """Multiplicity generating function from the theta-matrix route:
     component i of `theta_solution`."""
     if not 0 <= i <= n // 2:
-        raise ValueError("component index out of range")
+        raise ValueError(f"component index {i} out of range for n={n}")
     return theta_solution(n, order, conjecture)[i]
 
 

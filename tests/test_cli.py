@@ -154,6 +154,58 @@ class TestBseries:
         assert out == ""
         assert err.splitlines() == [f"error: component index {i} out of range for n=3"]
 
+    @pytest.mark.parametrize(
+        "method, fmt, digest",
+        [
+            ("theta", "json", "866ecad71b47a41c4efecaf470187478e92b555d582931e690dad2f3f6ca8e47"),
+            ("both", "json", "ebbdf68361538b5e9850596df67416763ce5bcd58ef89bd3da32e74dbcde5d1e"),
+            ("theta", "csv", "c8fe8c310eb7fb2c8f1a0d1d1f54c48e3a131932e4b5455f6ed5e5517cab5bd7"),
+            ("both", "csv", "9a637745b74c508778b13b5228036a3a1c6f2d4a5367653811991c6311c652f7"),
+            ("theta", "table", "7e1a5ed276882c9656c19444e12512166050a0c05708414e600c37bc2355ebff"),
+            ("both", "table", "58727ae0919f642409bf1262a28aa02bc9b610340f60fe20cf603d24dcaed368"),
+        ],
+    )
+    def test_failed_solve_is_reported_per_component(self, method, fmt, digest, monkeypatch, capsys):
+        message = "rescaled determinant for n=5 is not a unit; cannot divide exactly"
+
+        def failing(i, n, order, conjecture=False):
+            raise multiplicity.NonUnitDeterminantError(message)
+
+        monkeypatch.setattr(multiplicity, "gf_theta", failing)
+        argv = ["bseries", "--n", "5", "--order", "4", "--method", method, "--format", fmt]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        if fmt == "json":
+            rows = json.loads(out)["series"]
+            assert all(r["theta_error"] == message and "equal" not in r for r in rows)
+        elif fmt == "csv":
+            assert {line.split(",")[-1] for line in out.splitlines()[1:]} == {"error"}
+        else:
+            assert f"i=1 theta: unavailable ({message})" in out.splitlines()
+
+    def test_method_choices_are_the_table(self):
+        (subparsers,) = [
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        (method,) = [a for a in subparsers.choices["bseries"]._actions if a.dest == "method"]
+        assert tuple(method.choices) == tuple(cli.METHODS) == ("comb", "theta", "both")
+
+    def test_routes_are_looked_up_at_call_time(self, monkeypatch, capsys):
+        calls = {"gf_comb": [], "gf_theta": []}
+        for name, calls_of in calls.items():
+            real = getattr(multiplicity, name)
+
+            def counting(i, *args, real=real, calls_of=calls_of, **kwargs):
+                calls_of.append(i)
+                return real(i, *args, **kwargs)
+
+            monkeypatch.setattr(multiplicity, name, counting)
+        argv = ["bseries", "--n", "5", "--order", "6", "--method", "both", "--format", "json"]
+        assert cli.main(argv) == 0
+        assert all(row["equal"] for row in json.loads(capsys.readouterr().out)["series"])
+        assert calls == {"gf_comb": [0, 1, 2], "gf_theta": [0, 1, 2]}
+
 
 class TestVerify:
     @pytest.mark.parametrize("master_order", [198, 199, 200])
@@ -410,6 +462,56 @@ class TestJsonBytes:
             (
                 "bseries --n 5 --method both --order 40 --format json",
                 "9606ec60e2d7c5ecf1f66212bf4f6ed7382d81cf88f95636fb218842190b6042",
+            ),
+            (
+                "bseries --n 5 --method comb --order 40 --format csv",
+                "fa3dc91379790dea31421e08b311b59228e88a028210f7a82665bc646e0cf7d4",
+            ),
+            (
+                "bseries --n 5 --method theta --order 40 --format csv",
+                "ebb9d64f69760020c32cb5ae2e781e9282eda1c03335a9f9d7bb07df5d74117b",
+            ),
+            (
+                "bseries --n 5 --method both --order 40 --format csv",
+                "7f23af81a27c1fbbaa1e58ad2d00b472eda54ec03057cbe03e151f7fc2a9c368",
+            ),
+            (
+                "bseries --n 5 --method comb --order 40 --format table",
+                "81604a9c7a644873ae7b5a3f467b10014c4eb3752d8f2d5423f734910efbed6b",
+            ),
+            (
+                "bseries --n 5 --method theta --order 40 --format table",
+                "f9fdb00756e0697c31424afc08f269c2b89e2092458931059d0f6fd699ac5906",
+            ),
+            (
+                "bseries --n 5 --method both --order 40 --format table",
+                "8ca8e3311e9461652e74fce114a2b9162c1288e878c7bc75406ed5ed772e6a5c",
+            ),
+            (
+                "decompose --n 3 --max-k 12 --format csv",
+                "f80d92ed9e38d8b08f5031f757862496cbb12ea28ec3741052711d486c1a1b9b",
+            ),
+            (
+                "decompose --n 3 --max-k 12 --format table",
+                "11a39b049b55a24245d7ad250c736149c2797bf4a26676b1a71c785652e2e8e2",
+            ),
+            # A witness cap of 0 leaves `+N more` alone in a cell, and a zero
+            # count leaves the cell empty; its table line keeps the space.
+            (
+                "decompose --n 4 --max-k 6 --witness-cap 0 --format csv",
+                "f5274b42d8520ac3cebaec819552b5484fcde96d3d7f904a5419053f992aa145",
+            ),
+            (
+                "decompose --n 4 --max-k 6 --witness-cap 0 --format table",
+                "643fc47b8525e556f0219579bfa235fc89eff513f83c812937d6d67cd647a614",
+            ),
+            (
+                "decompose --n 4 --max-k 6 --witness-cap 1 --format csv",
+                "8fb7ff83eb4f469c785de4caba8ccf9e4f97128b7192c5521e200beb85c17f47",
+            ),
+            (
+                "decompose --n 4 --max-k 6 --witness-cap 1 --format table",
+                "d8984fdf0ef1d85e4a7e1b5f4531b677e5a189ed2c9bf550ab99c637f41f4577",
             ),
         ],
     )

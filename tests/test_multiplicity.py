@@ -214,6 +214,11 @@ class TestCombSeries:
         with pytest.raises(ValueError):
             gf_comb(2, 3, 5)
 
+    @pytest.mark.parametrize("route, i", [(gf_comb, 5), (gf_theta, -1)])
+    def test_range_message_names_component_and_modulus(self, route, i):
+        with pytest.raises(ValueError, match=f"^component index {i} out of range for n=3$"):
+            route(i, 3, 4)
+
     def test_rejects_modulus_below_two(self):
         with pytest.raises(ValueError):
             gf_comb(0, 1, 5)
