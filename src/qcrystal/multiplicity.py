@@ -116,7 +116,9 @@ def _slot_width(boxes: int) -> int:
 
 
 def _count_table(n: int, boxes: int) -> tuple[tuple[int, ...], ...]:
-    """Chain-shape counts for every box count up to `boxes`, per component.
+    """Chain-shape counts up to `boxes` boxes, one row per component i,
+    holding only its own residue class: entry s counts the shapes of
+    i^2 mod n + s*n boxes.
 
     Parts are taken largest first; the state is r = rows so far mod n.  Part
     p gets multiplicity f = (p - c) mod n, c = last part + its multiplicity,
@@ -149,44 +151,39 @@ def _count_table(n: int, boxes: int) -> tuple[tuple[int, ...], ...]:
                 states[to] += poly << (slots[to] * width - room)
     for r in range(n // 2 + 1, n):
         states[n - r] += states[r]
-    columns = [[0] * (boxes + 1) for _ in range(n // 2 + 1)]
-    for i, column in enumerate(columns):
-        if slots[i]:  # a class starting above `boxes` has nothing to unpack
-            column[base[i] :: n] = _unpack(states[i], width, slots[i])
-    return tuple(map(tuple, columns))
+    return tuple(_unpack(states[i], width, slots[i]) for i in range(n // 2 + 1))
 
 
 def _unpack(poly: int, width: int, slots: int) -> tuple[int, ...]:
-    digits = format(poly, f"0{width * slots}b")
-    if len(digits) != width * slots:
+    """The `slots` counts packed in `poly`, decoded by `qs._unpack`.  Raises
+    when a bit lies above the last slot or a slot reached its sign bit: such
+    a slot decodes as negative, and a carry reaches only slots above it."""
+    counts = qs._unpack(poly, width, slots)
+    if poly >> width * slots or min(counts, default=0) < 0:
         raise OverflowError("packed counts exceed their slots")
-    out = []
-    for end in range(width * slots, 0, -width):
-        if digits[end - width] != "0":
-            raise OverflowError("slot count reached its sign bit")
-        out.append(int(digits[end - width : end], 2))
-    return tuple(out)
+    return tuple(counts)
 
 
 _TABLE_CACHE_SIZE = 8
-_tables: dict[int, tuple[tuple[int, ...], ...]] = {}
+_tables: dict[int, tuple[int, tuple[tuple[int, ...], ...]]] = {}
 
 
 def _table_for(n: int, boxes: int) -> tuple[tuple[int, ...], ...]:
-    """Cached per-component table for modulus n covering `boxes`.
+    """Cached `_count_table` rows for modulus n covering `boxes`.
 
-    A too-small table is rebuilt at twice its size or more, so a run of
-    increasing requests rebuilds only logarithmically often.  Every size
-    is rounded up to a box count congruent to (n // 2)^2 mod n, which
-    completes the highest component's last row, so a `gf_comb` request at
-    that size reuses the table.  The cache keeps the most recently used
-    moduli.
+    The cache maps n to (size, rows).  A too-small table is rebuilt at
+    twice its size or more, so a run of increasing requests rebuilds only
+    logarithmically often.  Every size is rounded up to a box count
+    congruent to (n // 2)^2 mod n, which completes the highest component's
+    last entry, so a `gf_comb` request at that size reuses the table.  The
+    cache keeps the most recently used moduli.
     """
-    table = _tables.pop(n, None)
-    if table is None or len(table[0]) <= boxes:
-        size = boxes if table is None else max(boxes, 2 * (len(table[0]) - 1))
-        table = _count_table(n, size + ((n // 2) ** 2 - size) % n)
-    _tables[n] = table
+    size, table = _tables.pop(n, (-1, ()))
+    if size < boxes:
+        size = max(boxes, 2 * size)
+        size += ((n // 2) ** 2 - size) % n
+        table = _count_table(n, size)
+    _tables[n] = size, table
     while len(_tables) > _TABLE_CACHE_SIZE:
         del _tables[next(iter(_tables))]
     return table
@@ -198,7 +195,8 @@ def count_by_component(n: int, boxes: int) -> tuple[int, ...]:
         raise ValueError("modulus n must be at least 2")
     if boxes < 0:
         return (0,) * (n // 2 + 1)
-    return tuple(column[boxes] for column in _table_for(n, boxes))
+    rows = _table_for(n, boxes)
+    return tuple(0 if (boxes - i * i) % n else row[boxes // n] for i, row in enumerate(rows))
 
 
 def count_maximal_shapes(n: int, boxes: int) -> int:
@@ -217,8 +215,8 @@ def gf_comb(i: int, n: int, order: int) -> QSeries:
         raise ValueError("order must be at least 1")
     # Size for the highest component so every component at this order
     # shares one table.
-    column = _table_for(n, (n // 2) ** 2 + (order - 1) * n)[i]
-    return QSeries.from_coeffs(list(column[i * i :: n][:order]), order)
+    row = _table_for(n, (n // 2) ** 2 + (order - 1) * n)[i]
+    return QSeries.from_coeffs(list(row[i * i // n : i * i // n + order]), order)
 
 
 # -- theta route -----------------------------------------------------------

@@ -152,10 +152,10 @@ def _zero_tail(length: int, mult: int, rows: int, n: int) -> int:
     return sum((rows + j) % n < length for j in range(mult))
 
 
-_SHAPE_CACHE_SIZE = 8
 # One box count's chain shapes and their color-0 cell counts, as parallel tuples.
 _Bucket = tuple[tuple[Partition, ...], tuple[int, ...]]
-_shape_tables: dict[int, tuple[_Bucket, ...]] = {}
+# (modulus, table) of the latest modulus requested; no modulus is 0.
+_shape_cache: tuple[int, tuple[_Bucket, ...]] = (0, ())
 
 
 def _shape_table(n: int, boxes: int) -> tuple[_Bucket, ...]:
@@ -235,24 +235,23 @@ def _shape_table(n: int, boxes: int) -> tuple[_Bucket, ...]:
 
 def _shape_bucket(n: int, boxes: int) -> _Bucket:
     """The (shapes, zero counts) pair for one box count, from the cached table
-    of modulus n; the eight most recently used moduli are kept."""
+    of modulus n; only the latest modulus's table is kept."""
+    global _shape_cache
     if n < 2:
         raise ValueError("modulus n must be at least 2")
     if boxes < 0:
         raise ValueError("box count must be nonnegative")
-    table = _shape_tables.pop(n, None)
-    if table is None or len(table) <= boxes:
+    held, table = _shape_cache
+    if held != n or len(table) <= boxes:
         # Shape counts grow like exp(c * sqrt(boxes)), so doubling the box
         # count would multiply the table many times over (about 100x from
         # 80 to 160 boxes for n = 2); a step of sqrt(boxes) boxes grows it
         # by under 2x for n = 2, 3, 5 up to 200 boxes.
-        built = -1 if table is None else len(table) - 1
-        size = max(boxes, built + isqrt(built + 1))
-        table = _shape_table(n, size)
-    _shape_tables[n] = table
-    while len(_shape_tables) > _SHAPE_CACHE_SIZE:
-        del _shape_tables[next(iter(_shape_tables))]
-    return table[boxes]
+        built = len(table) - 1 if held == n else -1
+        # Drop the old table first, so two are never held at once.
+        table, _shape_cache = (), (0, ())
+        _shape_cache = (n, _shape_table(n, max(boxes, built + isqrt(built + 1))))
+    return _shape_cache[1][boxes]
 
 
 def enumerate_maximal_shapes(n: int, boxes: int) -> tuple[Partition, ...]:
@@ -261,8 +260,8 @@ def enumerate_maximal_shapes(n: int, boxes: int) -> tuple[Partition, ...]:
     Results are duplicate-free and listed in descending lexicographic
     order of the flattened part list.  Depth-first search over parts with
     forced multiplicities emits exactly that order, so no sort is needed.
-    Shapes come from a per-modulus table of every box count up to the
-    largest requested; the eight most recently used moduli are kept.
+    Shapes come from a table of every box count up to the largest
+    requested; only the latest modulus's table is kept.
     """
     return _shape_bucket(n, boxes)[0]
 

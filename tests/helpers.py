@@ -5,7 +5,7 @@ never calls."""
 import functools
 import json
 
-from qcrystal.multiplicity import _entry_terms, _unpack, residue_block
+from qcrystal.multiplicity import _entry_terms, residue_block
 from qcrystal.qseries import QSeries, theta_f, theta_g
 
 
@@ -241,7 +241,13 @@ def count_table_by_pair_states(n, boxes):
     packed = [0] * (n // 2 + 1)
     for (c, r), poly in states.items():
         packed[min((c - r) % n, (-r) % n)] += poly
-    return tuple(_unpack(poly, width, slots) for poly in packed)
+    mask = (1 << width) - 1
+    columns = []
+    for poly in packed:
+        column = tuple(poly >> (s * width) & mask for s in range(slots))
+        assert poly >> (slots * width) == 0 and max(column) >> (width - 1) == 0
+        columns.append(column)
+    return tuple(columns)
 
 
 def transform_check(r, s, order):

@@ -9,7 +9,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcrystal import cli, identities, multiplicity, qseries
+from qcrystal import cli, identities, multiplicity, qseries, young
 from qcrystal.multiplicity import multiplicity_table
 from qcrystal.qseries import QSeries
 from qcrystal.young import Partition
@@ -437,6 +437,36 @@ class TestCrossPipeline:
             for entry in payload["entries"]:
                 if entry["i"] == i:
                     assert entry["b"] == series.coeff(entry["k"] - i), entry
+
+
+class TestSwitchingModulus:
+    """One process switching modulus and back prints what it printed first."""
+
+    def _outputs(self, runs, capsys):
+        outs = []
+        for argv in runs:
+            assert cli.main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        return outs
+
+    def test_decompose_rebuilds_the_shape_table(self, monkeypatch, capsys):
+        monkeypatch.setattr(young, "_shape_cache", (0, ()))
+        first, _, third = self._outputs(
+            [["decompose", "--n", str(n), "--max-k", str(k)] for n, k in ((2, 12), (3, 8), (2, 12))], capsys
+        )
+        assert third == first
+        assert young._shape_cache[0] == 2
+
+    def test_bseries_reuses_the_chain_table(self, monkeypatch, capsys):
+        builds = []
+        real = multiplicity._count_table
+        monkeypatch.setattr(multiplicity, "_count_table", lambda n, boxes: builds.append(n) or real(n, boxes))
+        monkeypatch.setattr(multiplicity, "_tables", {})
+        first, _, third = self._outputs(
+            [["bseries", "--n", str(n), "--method", "both", "--order", "40"] for n in (5, 3, 5)], capsys
+        )
+        assert third == first
+        assert builds == [5, 3] and list(multiplicity._tables) == [3, 5]
 
 
 class TestJsonBytes:

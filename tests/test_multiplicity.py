@@ -1,7 +1,7 @@
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qcrystal import crystal, multiplicity, qseries as qs, weightlat, young
 from qcrystal.multiplicity import (
@@ -29,6 +29,28 @@ from helpers import (
     multiplicity_table_by_filter,
     partition_number,
 )
+
+
+def assert_rows_match_oracle(n, boxes):
+    """Component i's row is the oracle's column at i^2 mod n + s*n boxes,
+    and the oracle counts nothing off that stride."""
+    rows = multiplicity._count_table(n, boxes)
+    assert len(rows) == n // 2 + 1, (n, boxes)
+    for i, (row, column) in enumerate(zip(rows, count_table_by_pair_states(n, boxes))):
+        assert row == column[i * i % n :: n], (n, boxes, i)
+        assert not any(c for b, c in enumerate(column) if (b - i * i) % n), (n, boxes, i)
+
+
+@st.composite
+def packed_slots(draw):
+    """(width, raw slot values low slot first, bits above the last slot):
+    counts below the sign bit, a few of them with the sign bit set."""
+    width = draw(st.integers(1, 12))
+    raw = draw(st.lists(st.integers(0, (1 << width - 1) - 1), max_size=40))
+    for s in draw(st.sets(st.integers(0, len(raw) - 1), max_size=3) if raw else st.just(())):
+        raw[s] |= 1 << width - 1
+    return width, raw, draw(st.integers(0, 3))
+
 
 # Known decomposition table for n=3: multiplicities and witness shapes.
 TABLE_N3_I0 = {
@@ -138,11 +160,11 @@ class TestCounting:
         # Each bound truncates every residue class at a different slot.
         for n in range(2, 17):
             for boxes in range(121):
-                assert multiplicity._count_table(n, boxes) == count_table_by_pair_states(n, boxes), (n, boxes)
+                assert_rows_match_oracle(n, boxes)
 
     @pytest.mark.parametrize("n, boxes", [(2, 2000), (3, 1500)])
     def test_matches_pair_keyed_oracle_at_scale(self, n, boxes):
-        assert multiplicity._count_table(n, boxes) == count_table_by_pair_states(n, boxes)
+        assert_rows_match_oracle(n, boxes)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 12), st.integers(0, 30))
@@ -164,10 +186,12 @@ class TestCounting:
     def test_bounds_below_a_state_residue(self, n):
         # For n >= 3, some component's first box count i^2 mod n exceeds
         # these bounds, so its residue class has no slot at all.
-        assert multiplicity._count_table(n, 0) == ((1,),) + ((0,),) * (n // 2)
-        assert multiplicity._count_table(n, 1) == ((1, 0), (0, 1)) + ((0, 0),) * (n // 2 - 1)
+        for boxes in (0, 1):
+            # Only the empty shape and the single box exist here.
+            rows = tuple((int(i < 2),) if i * i % n <= boxes else () for i in range(n // 2 + 1))
+            assert multiplicity._count_table(n, boxes) == rows
         for boxes in (0, 1, 2):
-            assert multiplicity._count_table(n, boxes) == count_table_by_pair_states(n, boxes)
+            assert_rows_match_oracle(n, boxes)
 
     def test_slot_width_holds_the_partition_number_and_a_sign_bit(self):
         for boxes in [*range(5001), 9000, 20000]:
@@ -195,6 +219,22 @@ class TestCounting:
             multiplicity._unpack(0b100_001, 3, 2)
         with pytest.raises(OverflowError):
             multiplicity._unpack(0b1_000_001, 3, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(packed_slots())
+    @example((3, [0b100, 0b111], 0))  # all ones above an overflowed slot takes its carry
+    @example((3, [0b001, 0b100], 0))  # the top slot's carry leaves the packed range
+    @example((3, [0b011, 0b011], 0))
+    @example((3, [], 0))
+    @example((3, [], 1))
+    def test_checked_decoder_raises_exactly_on_overflow(self, case):
+        width, raw, above = case
+        poly = sum(v << s * width for s, v in enumerate(raw)) + (above << len(raw) * width)
+        if above or any(v >> width - 1 for v in raw):
+            with pytest.raises(OverflowError):
+                multiplicity._unpack(poly, width, len(raw))
+        else:
+            assert multiplicity._unpack(poly, width, len(raw)) == tuple(raw)
 
 
 class TestCombSeries:
@@ -600,7 +640,7 @@ class TestRouteIndependence:
         _forbid(monkeypatch, qs, "det", "_laplace", "_packed_laplace", "theta_f", "theta_g", "euler_phi")
         _forbid(monkeypatch, multiplicity, "coefficient_matrix")
         monkeypatch.setattr(multiplicity, "_tables", {})
-        monkeypatch.setattr(young, "_shape_tables", {})
+        monkeypatch.setattr(young, "_shape_cache", (0, ()))
         for i in range(6):
             # The i x i square is the only member with i^2 boxes.
             assert gf_comb(i, 11, 40).coeff(0) == 1

@@ -172,7 +172,7 @@ class TestEnumeration:
     def test_unvalidated_shapes_pass_validation(self, n):
         # The search builds shapes without `Partition`'s own check; every
         # one must pass it and equal its validated copy.
-        young._shape_tables.clear()
+        young._shape_cache = (0, ())
         for boxes in range(61):
             for p in enumerate_maximal_shapes(n, boxes):
                 assert type(p) is Partition
@@ -196,14 +196,14 @@ class TestEnumeration:
         # request serves every count from one table; a smaller one makes
         # the ascending requests regrow it.
         for n in range(2, 9):
-            young._shape_tables.clear()
+            young._shape_cache = (0, ())
             if earlier == "larger":
                 enumerate_maximal_shapes(n, 60)
             elif earlier == "smaller":
                 enumerate_maximal_shapes(n, 5)
             for boxes in range(41):
                 if earlier == "cold":
-                    young._shape_tables.clear()
+                    young._shape_cache = (0, ())
                 got = [p.pairs for p in enumerate_maximal_shapes(n, boxes)]
                 assert got == chain_shapes_per_box_count(n, boxes), (n, boxes, earlier)
 
@@ -217,26 +217,26 @@ class TestEnumeration:
             assert list(maximal_shape_zero_counts(n, boxes)) == expected, (n, boxes, earlier)
 
         for n in (*range(2, 9), 12, 41):
-            young._shape_tables.clear()
+            young._shape_cache = (0, ())
             if earlier == "larger":
                 enumerate_maximal_shapes(n, 60)
             elif earlier == "smaller":
                 enumerate_maximal_shapes(n, 5)
             for boxes in range(41):
                 if earlier == "cold":
-                    young._shape_tables.clear()
+                    young._shape_cache = (0, ())
                 check(n, boxes)
         # Deeper tables, on both sides of 64 and 128 boxes: ascending
         # requests regrow the table at 64 (from 63) and at 128 (from 127).
         for n in (2, 3, 4):
-            young._shape_tables.clear()
+            young._shape_cache = (0, ())
             if earlier == "larger":
                 enumerate_maximal_shapes(n, 128)
             for boxes in (63, 64, 127, 128):
                 if earlier == "cold":
-                    young._shape_tables.clear()
+                    young._shape_cache = (0, ())
                 check(n, boxes)
-        young._shape_tables.clear()
+        young._shape_cache = (0, ())
 
     @pytest.mark.parametrize("n, boxes", [(41, 60), (12, 40)])
     def test_count_blocks_are_filled_lazily(self, n, boxes, monkeypatch):
@@ -294,11 +294,25 @@ class TestEnumeration:
     def test_shape_cache_is_bounded(self):
         for n in range(2, 20):
             enumerate_maximal_shapes(n, 10)
-        assert list(young._shape_tables) == list(range(20 - young._SHAPE_CACHE_SIZE, 20))
+        held, table = young._shape_cache
+        assert held == 19 and len(table) == 11
         # Regrowth steps by about sqrt(boxes), not to twice the table.
         enumerate_maximal_shapes(2, 40)
         enumerate_maximal_shapes(2, 41)
-        assert 41 <= len(young._shape_tables[2]) - 1 < 60
+        held, table = young._shape_cache
+        assert held == 2 and 41 <= len(table) - 1 < 60
+
+    def test_old_table_is_dropped_before_the_next_is_built(self, monkeypatch):
+        real = young._shape_table
+
+        def building(n, boxes):
+            assert young._shape_cache == (0, ()), (n, boxes)
+            return real(n, boxes)
+
+        monkeypatch.setattr(young, "_shape_table", building)
+        for n, boxes in ((2, 10), (2, 30), (3, 12), (2, 5)):
+            enumerate_maximal_shapes(n, boxes)
+            assert young._shape_cache[0] == n
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
