@@ -300,6 +300,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: {str(exc) or 'not enough memory for this request'}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError as exc:
+        print(f"error: request too large to compute ({exc})", file=sys.stderr)
+        return EXIT_USAGE
     except BrokenPipeError:
         return EXIT_OK
 

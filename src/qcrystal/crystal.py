@@ -8,15 +8,22 @@ past the widest row) and the result is a valid shape.  Shape validity
 alone decides admissibility and removability; regularity of the ambient
 crystal is a property of the vertices, not of the signature rule.
 
+Only corners of the diagram contribute.  A block of f rows of equal
+length l has one removable cell, at the end of its last row (column l),
+and one admissible cell, just past the end of its first row (column
+l + 1); a new row below the diagram is admissible at column 1.  Read
+block by block from the top, these symbols already run right to left,
+so a signature costs O(distinct parts), not O(width).
+
 The i-signature records one symbol per contributing column, columns read
-right to left: "+" for admissible, "-" for removable.  Canceling every
-adjacent "+-" pair leaves a word of the form "-...-+...+".  The raising
-operator removes the box of the last surviving "-" (the minus on the
-smallest column); the lowering operator adds a box at the first surviving
-"+" (the plus on the largest column).
+right to left: "+" for admissible, "-" for removable; where a column has
+both, the "-" comes first.  Canceling every adjacent "+-" pair leaves a
+word of the form "-...-+...+".  The raising operator removes the box of
+the last surviving "-" (the minus on the smallest column); the lowering
+operator adds a box at the first surviving "+" (the plus on the largest
+column).
 """
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .young import Partition, is_n_regular
@@ -69,9 +76,14 @@ def _require_crystal_vertex(p: Partition, n: int) -> None:
         raise ValueError(f"diagram {p} is not {n}-regular")
 
 
-def _column_height(rows_ascending: tuple[int, ...], col: int) -> int:
-    """Number of rows of length >= col; rows_ascending is sorted ascending."""
-    return len(rows_ascending) - bisect_left(rows_ascending, col)
+def _corners(p: Partition):
+    """(column, sign, row) of every removable and admissible cell, right to left."""
+    row = 0
+    for part, mult in p.pairs:
+        yield part + 1, PLUS, row + 1
+        row += mult
+        yield part, MINUS, row
+    yield 1, PLUS, row + 1
 
 
 def i_signature(p: Partition, n: int, i: int) -> Signature:
@@ -79,20 +91,9 @@ def i_signature(p: Partition, n: int, i: int) -> Signature:
     _require_crystal_vertex(p, n)
     if not 0 <= i < n:
         raise ValueError("color index out of range")
-    rows = p.parts
-    rows_asc = rows[::-1]
-    width = rows[0] if rows else 0
-    entries: list[SignatureEntry] = []
-    for col in range(width + 1, 0, -1):
-        h = _column_height(rows_asc, col)
-        # Removable: bottom cell of the column is a corner of the shape.
-        if h >= 1 and rows[h - 1] == col and (col - h) % n == i:
-            entries.append(SignatureEntry(col, MINUS, h))
-        # Admissible: the row below the column's bottom ends at col - 1.
-        below = rows[h] if h < len(rows) else 0
-        if below == col - 1 and (col - (h + 1)) % n == i:
-            entries.append(SignatureEntry(col, PLUS, h + 1))
-    return Signature(tuple(entries))
+    return Signature(
+        tuple(SignatureEntry(col, sign, row) for col, sign, row in _corners(p) if (col - row) % n == i)
+    )
 
 
 def _apply_remove(p: Partition, entry: SignatureEntry) -> Partition:
@@ -159,21 +160,10 @@ def is_maximal_structural(p: Partition, n: int) -> bool:
     the (m+1)-st removable column whenever the latter exists.
     """
     _require_crystal_vertex(p, n)
-    rows = p.parts
-    rows_asc = rows[::-1]
-    width = rows[0] if rows else 0
-    removable_colors: list[int] = []
-    admissible_colors: list[int] = []
-    for col in range(width + 1, 0, -1):
-        h = _column_height(rows_asc, col)
-        if h >= 1 and rows[h - 1] == col:
-            removable_colors.append((col - h) % n)
-        below = rows[h] if h < len(rows) else 0
-        if below == col - 1:
-            admissible_colors.append((col - (h + 1)) % n)
-    if removable_colors and removable_colors[0] != 0:
+    removable: list[int] = []
+    admissible: list[int] = []
+    for col, sign, row in _corners(p):
+        (removable if sign == MINUS else admissible).append((col - row) % n)
+    if removable and removable[0] != 0:
         return False
-    for m, color in enumerate(admissible_colors):
-        if m + 1 < len(removable_colors) and removable_colors[m + 1] != color:
-            return False
-    return True
+    return all(a == r for a, r in zip(admissible, removable[1:]))

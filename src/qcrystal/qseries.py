@@ -531,20 +531,23 @@ def _theta(r: int, s: int, order: int, alternating: bool) -> QSeries:
         raise ValueError("theta series need r + s > 0")
     # Term exponent at index j is (r+s) j^2 / 2 + (s-r) j / 2, a parabola
     # opening upward, so only finitely many terms fall below the order.
+    # Its lowest exponent sits at the integer next to the vertex
+    # j = -(s-r) / 2(r+s), so the window is sized before any term is added.
+    # Terms j and j' share an exponent only when j + j' = -(s-r) / (r+s);
+    # when that is an odd integer, alternating signs cancel every pair.
     d = s - r
+    if alternating and d % (r + s) == 0 and d // (r + s) % 2:
+        return QSeries.zero(order)
     jbound = (abs(d) + isqrt(d * d + 8 * (r + s) * max(order, 1))) // (2 * (r + s)) + 2
-    acc: dict[int, int] = {}
+    vertex = -d // (2 * (r + s))
+    lo = min((r * j * (j - 1) + s * j * (j + 1)) // 2 for j in (vertex, vertex + 1))
+    if lo >= order:
+        return QSeries.zero(order)
+    window = [0] * (order - lo)
     for j in range(-jbound, jbound + 1):
         e = (r * j * (j - 1) + s * j * (j + 1)) // 2
         if e < order:
-            acc[e] = acc.get(e, 0) + (-1 if (alternating and j % 2) else 1)
-    acc = {e: c for e, c in acc.items() if c}
-    if not acc:
-        return QSeries.zero(order)
-    lo = min(acc)
-    window = [0] * (order - lo)
-    for e, c in acc.items():
-        window[e - lo] = c
+            window[e - lo] += -1 if (alternating and j % 2) else 1
     return QSeries._new(lo, window, order)
 
 

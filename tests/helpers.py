@@ -155,6 +155,26 @@ def colors_by_cell(parts, n):
     return tuple(counts)
 
 
+def signature_moves(parts):
+    """(column, sign, row) of every box that can be removed ("-") from or
+    added ("+") to the diagram with these weakly decreasing row lengths.
+
+    Each row, and one new row below the last, is tried both ways; a move
+    is kept when the rows stay weakly decreasing and nonnegative.  Moves
+    are listed by column descending, a minus first where a column has
+    both.  Colour by (column - row) mod n to get one signature.
+    """
+    moves = []
+    for r in range(len(parts) + 1):
+        for sign, delta in (("-", -1), ("+", 1)):
+            trial = list(parts) + [0]
+            trial[r] += delta
+            if trial[r] >= 0 and all(a >= b for a, b in zip(trial, trial[1:])):
+                column = trial[r] + 1 if sign == "-" else trial[r]
+                moves.append((column, sign, r + 1))
+    return sorted(moves, key=lambda m: (-m[0], m[1] != "-"))
+
+
 def chain_shapes_per_box_count(n, boxes):
     """Chain shapes with exactly `boxes` boxes, as (part, multiplicity)
     pair tuples in descending lexicographic order of their parts.

@@ -17,12 +17,13 @@ from qcrystal.young import Partition
 from helpers import print_json_rows_joined
 
 
-def run_cli(*argv, env=None):
+def run_cli(*argv, env=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "qcrystal", *argv],
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -205,6 +206,25 @@ class TestBseries:
         assert cli.main(argv) == 0
         assert all(row["equal"] for row in json.loads(capsys.readouterr().out)["series"])
         assert calls == {"gf_comb": [0, 1, 2], "gf_theta": [0, 1, 2]}
+
+    def test_recursion_too_deep_exits_2(self, monkeypatch, capsys):
+        def too_deep(args, i, order):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setitem(cli.ROUTES, "theta", too_deep)
+        code = cli.main(["bseries", "--n", "3", "--method", "theta", "--order", "5"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: request too large to compute (maximum recursion depth exceeded)"]
+
+    def test_theta_order_too_large_to_index_exits_2(self):
+        # The theta window is sized before any term is summed, so an order
+        # this large fails at allocation instead of looping over 10^10 terms.
+        result = run_cli("bseries", "--n", "3", "--method", "theta", "--order", str(10**20), timeout=30)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1 and result.stderr.startswith("error: ")
 
 
 class TestVerify:

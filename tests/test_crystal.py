@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcrystal.crystal import (
+    _corners,
     MINUS,
     PLUS,
     Signature,
@@ -18,7 +20,7 @@ from qcrystal.crystal import (
 from qcrystal.weightlat import simple_root, weight_of
 from qcrystal.young import EMPTY, Partition, is_maximal_shape, is_n_regular
 
-from helpers import partitions_upto
+from helpers import partitions_upto, signature_moves
 
 
 def P(parts):
@@ -37,6 +39,17 @@ def word_of(entries_signs):
     return Signature(
         tuple(SignatureEntry(99 - t, s, 1) for t, s in enumerate(entries_signs))
     )
+
+
+def assert_matches_moves_oracle(d, n):
+    # The uncoloured list pins the order between colours too: a minus and a
+    # plus in one column always differ in colour, so no single signature
+    # sees which comes first.
+    moves = signature_moves(d.parts)
+    assert list(_corners(d)) == moves, d
+    for i in range(n):
+        entries = [(e.column, e.sign, e.row) for e in i_signature(d, n, i).entries]
+        assert entries == [m for m in moves if (m[0] - m[2]) % n == i], (d, n, i)
 
 
 class TestSignature:
@@ -68,6 +81,20 @@ class TestSignature:
         assert i_signature(EMPTY, 3, 0).word() == PLUS
         assert i_signature(EMPTY, 3, 1).word() == ""
         assert i_signature(EMPTY, 3, 2).word() == ""
+
+    def test_matches_moves_oracle(self):
+        for n in range(2, 8):
+            for d in regular_diagrams(n, 16):
+                assert_matches_moves_oracle(d, n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 9),
+        blocks=st.lists(st.tuples(st.integers(1, 200), st.integers(1, 8)), max_size=12, unique_by=lambda b: b[0]),
+    )
+    def test_matches_moves_oracle_on_wide_and_tall_shapes(self, n, blocks):
+        pairs = tuple(sorted(((part, min(mult, n - 1)) for part, mult in blocks), reverse=True))
+        assert_matches_moves_oracle(Partition(pairs), n)
 
     def test_rejects_irregular(self):
         with pytest.raises(ValueError):

@@ -738,6 +738,25 @@ class TestTheta:
         for m in range(1, 12):
             assert theta_g(0, m, 200).is_zero
 
+    def test_matches_term_sum(self):
+        # Every term summed one by one, negative indices included: the window
+        # sized from the vertex and the rule that an odd integer
+        # (r - s) / (r + s) cancels every alternating term must agree with it.
+        for r in range(-6, 13):
+            for s in range(-6, 13):
+                if r + s <= 0:
+                    continue
+                for order in (-3, 0, 1, 7, 60):
+                    for sign, build in ((1, theta_f), (-1, theta_g)):
+                        terms = {}
+                        for j in range(-40, 41):
+                            e = (r * j * (j - 1) + s * j * (j + 1)) // 2
+                            if e < order:
+                                terms[e] = terms.get(e, 0) + sign ** (j % 2)
+                        series = build(r, s, order)
+                        assert series.order == order
+                        assert series_to_dict(series) == {e: c for e, c in terms.items() if c}, (r, s, order)
+
     def test_symmetry_grid(self):
         for r in range(11):
             for s in range(r, 11):
