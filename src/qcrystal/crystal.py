@@ -21,7 +21,9 @@ both, the "-" comes first.  Canceling every adjacent "+-" pair leaves a
 word of the form "-...-+...+".  The raising operator removes the box of
 the last surviving "-" (the minus on the smallest column); the lowering
 operator adds a box at the first surviving "+" (the plus on the largest
-column).
+column); one box move serves both.  A color that owns no removable
+corner has no "-" to survive, so its epsilon is 0 and the maximality
+oracle reduces only the colors of the removable corners.
 """
 
 from dataclasses import dataclass
@@ -96,37 +98,24 @@ def i_signature(p: Partition, n: int, i: int) -> Signature:
     )
 
 
-def _apply_remove(p: Partition, entry: SignatureEntry) -> Partition:
-    rows = list(p.parts)
-    rows[entry.row - 1] -= 1
+def _moved(p: Partition, entry: SignatureEntry, step: int) -> Partition:
+    """p with `step` (+1 or -1) boxes at the end of `entry.row`; the
+    trailing 0 is the new row that a plus below the diagram fills."""
+    rows = [*p.parts, 0]
+    rows[entry.row - 1] += step
     return Partition.from_parts(r for r in rows if r > 0)
-
-
-def _apply_add(p: Partition, entry: SignatureEntry) -> Partition:
-    rows = list(p.parts)
-    if entry.row <= len(rows):
-        rows[entry.row - 1] += 1
-    else:
-        rows.append(1)
-    return Partition.from_parts(rows)
 
 
 def e_tilde(p: Partition, n: int, i: int) -> Partition | None:
     """Remove the box of the last surviving minus, or None if there is none."""
-    reduced = i_signature(p, n, i).reduced()
-    minuses = [e for e in reduced.entries if e.sign == MINUS]
-    if not minuses:
-        return None
-    return _apply_remove(p, minuses[-1])
+    minuses = [e for e in i_signature(p, n, i).reduced().entries if e.sign == MINUS]
+    return _moved(p, minuses[-1], -1) if minuses else None
 
 
 def f_tilde(p: Partition, n: int, i: int) -> Partition | None:
     """Add a box at the first surviving plus, or None if there is none."""
-    reduced = i_signature(p, n, i).reduced()
-    pluses = [e for e in reduced.entries if e.sign == PLUS]
-    if not pluses:
-        return None
-    return _apply_add(p, pluses[0])
+    pluses = [e for e in i_signature(p, n, i).reduced().entries if e.sign == PLUS]
+    return _moved(p, pluses[0], 1) if pluses else None
 
 
 def epsilon(p: Partition, n: int, i: int) -> int:
@@ -146,10 +135,9 @@ def is_maximal_second_factor(p: Partition, n: int) -> bool:
     raising operator of the tensor-square crystal.
     """
     _require_crystal_vertex(p, n)
-    for i in range(n):
-        if epsilon(p, n, i) > (1 if i == 0 else 0):
-            return False
-    return True
+    # Right to left: no plus cancels the rightmost minus, so its color goes first.
+    colors = dict.fromkeys((col - row) % n for col, sign, row in _corners(p) if sign == MINUS)
+    return all(epsilon(p, n, i) <= (i == 0) for i in colors)
 
 
 def is_maximal_structural(p: Partition, n: int) -> bool:

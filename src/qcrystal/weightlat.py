@@ -119,10 +119,9 @@ def classify_maximal(p: Partition, n: int) -> ComponentLabel:
     if not is_maximal_shape(p, n):
         raise ValueError(f"{p} is not a chain-family member for n={n}")
     w = fundamental_weight(0, n) + weight_of(p, n)
-    for i in range(n // 2 + 1):
-        if w.lam == (fundamental_weight(i, n) + fundamental_weight(-i, n)).lam:
-            break
-    else:
+    # w has level 2, so some coefficient is nonzero; the first one is i.
+    i = next(t for t, c in enumerate(w.lam) if c)
+    if w.lam != (fundamental_weight(i, n) + fundamental_weight(-i, n)).lam:
         raise ValueError(f"weight of {p} is not of component form: {w}")
     label = ComponentLabel(i, -w.delta)
     if label.k < i or p.boxes != i**2 + (label.k - i) * n:

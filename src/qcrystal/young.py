@@ -87,30 +87,23 @@ def color_of(row: int, col: int, n: int) -> int:
     return (col - row) % n
 
 
-def _add_row(counts: list[int], length: int, row: int) -> None:
-    """Add the cells of (1-based) row `row`, `length` long, to `counts`."""
-    n = len(counts)
-    # Row r is a run of `length` consecutive residues starting at
-    # color_of(r, 1): `length // n` full cycles plus a tail.
-    full, tail = divmod(length, n)
-    if full:
-        for t in range(n):
-            counts[t] += full
-    start = (1 - row) % n
-    for off in range(tail):
-        counts[(start + off) % n] += 1
-
-
 def color_counts(p: Partition, n: int) -> tuple[int, ...]:
     """Number of cells of each color, indexed by residue 0..n-1."""
     if n < 2:
         raise ValueError("modulus n must be at least 2")
     counts = [0] * n
-    row = 0
+    rows = 0
     for length, mult in p.pairs:
-        for _ in range(mult):
-            row += 1
-            _add_row(counts, length, row)
+        # Row r + 1 runs through `length` consecutive colors from -r mod n:
+        # `length // n` full cycles, then a tail of `length % n` cells.
+        full, tail = divmod(length, n)
+        if full:
+            for t in range(n):
+                counts[t] += full * mult
+        for r in range(rows, rows + mult):
+            for off in range(tail):
+                counts[(off - r) % n] += 1
+        rows += mult
     return tuple(counts)
 
 

@@ -7,6 +7,7 @@ import json
 
 from qcrystal.multiplicity import _entry_terms, residue_block
 from qcrystal.qseries import QSeries, theta_f, theta_g
+from qcrystal.young import Partition
 
 
 def partitions_of(total, max_part=None):
@@ -153,6 +154,12 @@ def colors_by_cell(parts, n):
         for col in range(1, length + 1):
             counts[(col - row) % n] += 1
     return tuple(counts)
+
+
+def regular_blocks(n, blocks):
+    """The n-regular partition of (part, multiplicity) blocks with distinct
+    parts, each multiplicity capped at n - 1."""
+    return Partition(tuple(sorted(((part, min(mult, n - 1)) for part, mult in blocks), reverse=True)))
 
 
 def signature_moves(parts):

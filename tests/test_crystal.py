@@ -20,7 +20,7 @@ from qcrystal.crystal import (
 from qcrystal.weightlat import simple_root, weight_of
 from qcrystal.young import EMPTY, Partition, is_maximal_shape, is_n_regular
 
-from helpers import partitions_upto, signature_moves
+from helpers import partitions_upto, regular_blocks, signature_moves
 
 
 def P(parts):
@@ -33,6 +33,33 @@ def regular_diagrams(n, max_boxes):
         for parts in partitions_upto(max_boxes)
         if is_n_regular(P(parts), n)
     ]
+
+
+# Parts up to 200, up to 12 distinct ones, each repeated up to 8 times.
+blocks_strategy = st.lists(
+    st.tuples(st.integers(1, 200), st.integers(1, 8)), max_size=12, unique_by=lambda b: b[0]
+)
+
+
+def oracle_move(parts, n, i, sign):
+    """The diagram that the last surviving minus (sign "-") or the first
+    surviving plus (sign "+") of color i leads to, with that move, read off
+    signature_moves; (None, None) when no such symbol survives."""
+    reduced = []
+    for move in signature_moves(parts):
+        if (move[0] - move[2]) % n != i:
+            continue
+        if move[1] == "-" and reduced and reduced[-1][1] == "+":
+            reduced.pop()
+        else:
+            reduced.append(move)
+    picks = [m for m in reduced if m[1] == sign]
+    if not picks:
+        return None, None
+    move = picks[-1] if sign == "-" else picks[0]
+    rows = list(parts) + [0]
+    rows[move[2] - 1] += 1 if sign == "+" else -1
+    return P(r for r in rows if r > 0), move
 
 
 def word_of(entries_signs):
@@ -88,13 +115,9 @@ class TestSignature:
                 assert_matches_moves_oracle(d, n)
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        n=st.integers(2, 9),
-        blocks=st.lists(st.tuples(st.integers(1, 200), st.integers(1, 8)), max_size=12, unique_by=lambda b: b[0]),
-    )
+    @given(n=st.integers(2, 9), blocks=blocks_strategy)
     def test_matches_moves_oracle_on_wide_and_tall_shapes(self, n, blocks):
-        pairs = tuple(sorted(((part, min(mult, n - 1)) for part, mult in blocks), reverse=True))
-        assert_matches_moves_oracle(Partition(pairs), n)
+        assert_matches_moves_oracle(regular_blocks(n, blocks), n)
 
     def test_rejects_irregular(self):
         with pytest.raises(ValueError):
@@ -116,6 +139,38 @@ class TestOperators:
         assert f_tilde(EMPTY, 3, 0) == Partition.from_parts([1])
         assert f_tilde(EMPTY, 3, 1) is None
         assert f_tilde(P([1]), 2, 1) == Partition.from_parts([2])
+
+    def test_box_moves_match_moves_oracle(self):
+        # One box move serves removing the only box of the last row, opening
+        # a new row below the diagram and growing the first row of a lower
+        # block; each must be met inside a block of several rows (n = 2
+        # allows only single rows).
+        for n in (2, 3, 5):
+            seen = set()
+            for d in regular_diagrams(n, 12):
+                parts = d.parts
+                for i in range(n):
+                    for sign, op in (("-", e_tilde), ("+", f_tilde)):
+                        expected, move = oracle_move(parts, n, i, sign)
+                        assert op(d, n, i) == expected, (d, n, i, sign)
+                        if move is None:
+                            continue
+                        row = move[2]
+                        if sign == "-" and row == len(parts) and parts[-1] == 1:
+                            case, part = "remove only box of last row", 1
+                        elif sign == "+" and row == len(parts) + 1:
+                            case, part = "open new row", parts[-1] if parts else None
+                        elif sign == "+" and 1 < row <= len(parts) and parts[row - 2] > parts[row - 1]:
+                            case, part = "grow first row of lower block", parts[row - 1]
+                        else:
+                            continue
+                        if parts.count(part) >= min(2, n - 1):
+                            seen.add(case)
+            assert seen == {
+                "remove only box of last row",
+                "open new row",
+                "grow first row of lower block",
+            }, n
 
     def test_epsilon_phi_examples(self):
         assert epsilon(EMPTY, 3, 0) == 0
@@ -204,8 +259,8 @@ class TestMaximality:
         assert not is_maximal_second_factor(P([2]), 3)
 
     def test_three_way_equivalence(self):
-        for n in (2, 3):
-            for parts in partitions_upto(10):
+        for n in (2, 3, 5, 7):
+            for parts in partitions_upto(12):
                 shape = Partition.from_parts(parts)
                 chain = is_maximal_shape(shape, n)
                 if not is_n_regular(shape, n):
@@ -214,3 +269,12 @@ class TestMaximality:
                 eps_test = is_maximal_second_factor(shape, n)
                 structural = is_maximal_structural(shape, n)
                 assert chain == eps_test == structural, (parts, n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 41), blocks=blocks_strategy)
+    def test_checks_only_colors_with_a_removable_corner(self, n, blocks):
+        # A color without a removable corner has epsilon 0, so skipping it
+        # must agree with testing every color.
+        p = regular_blocks(n, blocks)
+        expected = all(epsilon(p, n, i) <= (i == 0) for i in range(n))
+        assert is_maximal_second_factor(p, n) == expected, (p, n)

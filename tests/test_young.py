@@ -3,6 +3,7 @@ import gc
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcrystal import young
 from qcrystal.young import (
@@ -22,6 +23,7 @@ from helpers import (
     count_distinct_odd,
     partitions_of,
     partitions_upto,
+    regular_blocks,
 )
 
 
@@ -104,6 +106,16 @@ class TestColorRule:
         for parts in partitions_upto(9):
             for n in (2, 3, 4):
                 assert color_counts(Partition.from_parts(parts), n) == colors_by_cell(parts, n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.sampled_from((2, 3, 5, 12, 41)),
+        blocks=st.lists(st.tuples(st.integers(1, 200), st.integers(1, 40)), max_size=6, unique_by=lambda b: b[0]),
+    )
+    def test_color_counts_on_wide_shapes(self, n, blocks):
+        # Blocks of several rows with full color cycles, multiplicities up to n - 1.
+        p = regular_blocks(n, blocks)
+        assert color_counts(p, n) == colors_by_cell(p.parts, n), (p, n)
 
     def test_color_counts_examples(self):
         # Cell-by-cell: (4,1,1) at n=3 has rows 0120 / 2 / 1.
