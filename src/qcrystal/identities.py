@@ -14,7 +14,7 @@ from . import qseries as qs
 from .multiplicity import (
     coefficient_matrix,
     count_maximal_shapes,
-    gf_comb,
+    gf_comb,  # unused here; perfbench/child.py's tracer patches identities.gf_comb
     master_discrepancy,
 )
 from .qseries import QSeries

@@ -250,8 +250,6 @@ def residue_block(i: int, j: int, n: int, order: int) -> QSeries:
     residue decomposition; plus-signed for even n, alternating for odd."""
     a = n * (n + 3) // 2 - 2 * i - (n + 2) * j
     b = n * (n + 1) // 2 + 2 * i + (n + 2) * j
-    if a + b <= 0:
-        raise ValueError("degenerate block exponents")
     build = qs.theta_f if n % 2 == 0 else qs.theta_g
     return build(a, b, order)
 

@@ -465,7 +465,8 @@ def _fold_depth(size: int, progressions: int, step: int) -> int:
 
 def _binomial_product_inplace(window: list[int], starts, step: int, sign: int, power: int = 1) -> None:
     """Multiply a dense window (lowest 0) by prod (1 + sign q^e)^power,
-    sign and power +-1, over e = start + j * step for each start >= 1.
+    sign and power +-1, over e = start + j * step for each start >= 1,
+    or start 0 with power 1.
 
     With N the window length and a = ceil(N / (M + 1)), factors with e < a
     go in one at a time.  Any M + 1 factors with e >= a multiply past q^N,
@@ -533,11 +534,7 @@ def _theta(r: int, s: int, order: int, alternating: bool) -> QSeries:
     # opening upward, so only finitely many terms fall below the order.
     # Its lowest exponent sits at the integer next to the vertex
     # j = -(s-r) / 2(r+s), so the window is sized before any term is added.
-    # Terms j and j' share an exponent only when j + j' = -(s-r) / (r+s);
-    # when that is an odd integer, alternating signs cancel every pair.
     d = s - r
-    if alternating and d % (r + s) == 0 and d // (r + s) % 2:
-        return QSeries.zero(order)
     jbound = (abs(d) + isqrt(d * d + 8 * (r + s) * max(order, 1))) // (2 * (r + s)) + 2
     vertex = -d // (2 * (r + s))
     lo = min((r * j * (j - 1) + s * j * (j + 1)) // 2 for j in (vertex, vertex + 1))
@@ -566,20 +563,13 @@ def _triple_product(r: int, s: int, order: int, sign: int) -> QSeries:
         raise ValueError("product form needs nonnegative exponents")
     if r + s <= 0:
         raise ValueError("product form needs r + s > 0")
-    if order < 1:
-        raise ValueError("order must be at least 1")
     t = r + s
     # The (1 - q^(jt)) family is the Euler product at stride t; the two odd
     # families (1 + sign q^(jt - r)) and (1 + sign q^(jt - s)) go in here.
     window = list(euler_phi(order, t).coeffs)
-    starts = [t - r, t - s]
-    if 0 in starts:
-        # Degenerate factor (1 + sign): doubles the series or kills it.
-        if sign == -1:
-            return QSeries.zero(order)
-        window = [2 * c for c in window]
-        starts = [t, t]
-    _binomial_product_inplace(window, starts, t, sign)
+    if sign < 0 and r * s == 0:
+        return QSeries.zero(order)  # the factor 1 - q^0
+    _binomial_product_inplace(window, [t - r, t - s], t, sign)
     return QSeries._new(0, window, order)
 
 

@@ -111,6 +111,20 @@ def series_to_dict(s) -> dict:
     }
 
 
+def theta_by_terms(r, s, order, sign):
+    """Nonzero coefficients of the bilateral sum of sign^j q^e(j),
+    e(j) = r j(j-1)/2 + s j(j+1)/2, below `order`, one term at a time.
+    The walk starts at the vertex (r - s) / 2(r + s) and goes out each way
+    until e(j) reaches the order, since e only grows away from the vertex."""
+    terms = {}
+    vertex = (r - s) // (2 * (r + s))
+    for j, step in ((vertex + 1, 1), (vertex, -1)):
+        while (e := (r * j * (j - 1) + s * j * (j + 1)) // 2) < order:
+            terms[e] = terms.get(e, 0) + sign ** (j % 2)
+            j += step
+    return {e: c for e, c in terms.items() if c}
+
+
 def contract(s, k):
     """Substitute q^k -> q; every retained exponent must be divisible by k."""
     if k < 1:

@@ -296,6 +296,12 @@ class TestBlocks:
         # Negative first exponent normalizes through the index shift.
         assert residue_block(1, 2, 3, 80) == -(theta_g(12, 3, 83).shift(-3))
 
+    def test_residue_block_rejects_nonpositive_weight(self):
+        # a + b = n (n + 2), not positive for these n; theta rejects it.
+        for n in (-2, -1, 0):
+            with pytest.raises(ValueError):
+                residue_block(0, 0, n, 10)
+
     def test_master_coefficient_decomposes_into_blocks(self):
         order = 120
         for n in range(2, 8):

@@ -34,6 +34,7 @@ from helpers import (
     partitions_of,
     restricted_partition_gf_by_loops,
     series_to_dict,
+    theta_by_terms,
     transform_check,
     triple_product_by_families,
 )
@@ -649,6 +650,10 @@ class TestBinomialProduct:
     @example(([1] + [0] * 599, [1, 1, 2], 1, -1, 1))  # depth 8
     @example(([1] + [0] * 299, [300, 7], 7, 1, -1))  # a start at the window length
     @example(([3, -1] * 200, [5, 5], 400, 1, 1))  # the step is the window length
+    @example(([1] + [0] * 599, [0, 7], 7, 1, 1))  # start 0: the factor 1 + q^0 doubles
+    @example(([1] + [0] * 599, [7, 0], 7, -1, 1))  # start 0: the factor 1 - q^0 kills
+    @example(([2, -5, 1] * 400, [0, 3, 0], 3, 1, 1))  # start 0 twice, ahead of a deep fold
+    @example(([4] * 40, [0], 50, -1, 1))  # start 0, step past the window
     def test_matches_one_factor_at_a_time(self, case):
         window, starts, step, sign, power = case
         got = list(window)
@@ -730,6 +735,20 @@ class TestDivideBinomial:
         )
 
 
+@st.composite
+def theta_parameters(draw):
+    """(r, s, order) with |r|, |s| <= 3000, r + s > 0 and order in [-3, 300].
+    Half the draws set s - r = (2m + 1)(r + s), where the alternating terms
+    j and -(2m + 1) - j share an exponent and cancel."""
+    order = draw(st.integers(-3, 300))
+    if draw(st.booleans()):
+        t = draw(st.integers(1, 3000))
+        m = draw(st.integers(-(3000 // t), 3000 // t - 1))
+        return -m * t, (m + 1) * t, order
+    s = draw(st.integers(-2999, 3000))
+    return draw(st.integers(max(-3000, 1 - s), 3000)), s, order
+
+
 class TestTheta:
     def test_pentagonal_equivalence(self):
         assert theta_g(1, 2, 300) == euler_phi(300)
@@ -740,8 +759,8 @@ class TestTheta:
 
     def test_matches_term_sum(self):
         # Every term summed one by one, negative indices included: the window
-        # sized from the vertex and the rule that an odd integer
-        # (r - s) / (r + s) cancels every alternating term must agree with it.
+        # sized from the vertex and the index range must agree with it, also
+        # where an odd integer (r - s) / (r + s) cancels every alternating term.
         for r in range(-6, 13):
             for s in range(-6, 13):
                 if r + s <= 0:
@@ -756,6 +775,18 @@ class TestTheta:
                         series = build(r, s, order)
                         assert series.order == order
                         assert series_to_dict(series) == {e: c for e, c in terms.items() if c}, (r, s, order)
+
+    @settings(max_examples=200, deadline=None)
+    @given(theta_parameters())
+    @example((0, 15, 300))  # lemma 5.4's vanishing g(1, q^15)
+    @example((-858, 2621, 300))  # the residue block with the largest exponent for n <= 41
+    @example((-2999, 3000, -3))  # weight 1, lowest exponent near -4.5 million
+    def test_matches_term_sum_at_block_scale(self, case):
+        r, s, order = case
+        for sign, build in ((1, theta_f), (-1, theta_g)):
+            series = build(r, s, order)
+            assert series.order == order
+            assert series_to_dict(series) == theta_by_terms(r, s, order, sign), (r, s, order, sign)
 
     def test_symmetry_grid(self):
         for r in range(11):
@@ -814,6 +845,18 @@ class TestTripleProduct:
             triple_product_f(-1, 3, 10)
         with pytest.raises(ValueError):
             triple_product_g(2, -2, 10)
+
+    def test_rejects_nonpositive_order(self):
+        # The order check sits in euler_phi; the vanishing g form with
+        # r = 0 or s = 0 must reach it before returning zero.
+        for r in range(4):
+            for s in range(4):
+                if r + s == 0:
+                    continue
+                for order in (0, -1):
+                    for build in (triple_product_f, triple_product_g):
+                        with pytest.raises(ValueError, match="order must be at least 1"):
+                            build(r, s, order)
 
 
 class TestTransformLaw:
