@@ -52,22 +52,25 @@ def _resolve_order(args, sources: tuple[str, ...], default: int) -> int:
     return default
 
 
+# Rows are trees of lists, tuples and dicts without cycles, so one encoder
+# serves every row without the cycle check, which would record every
+# container on the way down.
+_encode = json.JSONEncoder(check_circular=False).encode
+
+
 def _print_json_rows(head: dict, key: str, rows) -> None:
     """Print `head` plus a `key` list as one indented JSON object, with
-    each row of the list compact on its own line.  Each row is written as
-    soon as it is encoded, so the whole body is never held as one string.
-    Rows are trees of lists, tuples and dicts without cycles, so one
-    encoder serves every row without the cycle check, which would record
-    every container on the way down."""
-    encode = json.JSONEncoder(check_circular=False).encode
+    each row of the list, given as its compact JSON text, on its own line.
+    Each row is written as soon as it is given, so the whole body is never
+    held as one string."""
     write = sys.stdout.write
     write("{\n")
     for name, value in head.items():
-        write(f"  {encode(name)}: {encode(value)},\n")
-    write(f"  {encode(key)}: [\n")
+        write(f"  {_encode(name)}: {_encode(value)},\n")
+    write(f"  {_encode(key)}: [\n")
     separator = "    "
     for row in rows:
-        write(separator + encode(row))
+        write(separator + row)
         separator = ",\n    "
     write("\n  ]\n}\n")
 
@@ -84,20 +87,31 @@ def _witness_cell(entry, separator: str) -> str:
     return separator.join(cells)
 
 
+class _PairText(dict):
+    """(part, multiplicity) -> its JSON text `[p, m]`, made on first use."""
+
+    def __missing__(self, pair):
+        text = self[pair] = "[%d, %d]" % pair
+        return text
+
+
+def _decompose_rows(table):
+    """Each entry as the compact text `json.dumps` makes of its row: keys
+    i, k, b, witnesses, then witnesses_omitted when nonzero.  Witness
+    pairs are ints, so nothing needs escaping, and each distinct pair's
+    text is made once per call rather than encoded per shape."""
+    text = _PairText().__getitem__
+    join = ", ".join
+    for (i, k), entry in table.rows():
+        witnesses = join(["[" + join(map(text, w.pairs)) + "]" for w in entry.witnesses])
+        omitted = f', "witnesses_omitted": {entry.omitted}' if entry.omitted else ""
+        yield f'{{"i": {i}, "k": {k}, "b": {entry.count}, "witnesses": [{witnesses}]{omitted}}}'
+
+
 def _cmd_decompose(args) -> int:
     table = multiplicity.multiplicity_table(args.n, args.max_k, args.witness_cap)
     if args.format == "json":
-        entries = (
-            {
-                "i": i,
-                "k": k,
-                "b": entry.count,
-                "witnesses": [w.pairs for w in entry.witnesses],
-                **({"witnesses_omitted": entry.omitted} if entry.omitted else {}),
-            }
-            for (i, k), entry in table.rows()
-        )
-        _print_json_rows({"n": table.n, "max_k": table.max_k}, "entries", entries)
+        _print_json_rows({"n": table.n, "max_k": table.max_k}, "entries", _decompose_rows(table))
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["i", "k", "b", "witnesses"])
@@ -152,7 +166,7 @@ def _cmd_bseries(args) -> int:
     rows = [_series_row(routes, args, i, order) for i in components]
     if args.format == "json":
         head = {"n": args.n, "order": order, "method": args.method, "conjecture": args.conjecture}
-        _print_json_rows(head, "series", rows)
+        _print_json_rows(head, "series", map(_encode, rows))
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["i", "m", *routes])

@@ -181,7 +181,10 @@ def _shape_table(n: int, boxes: int) -> tuple[_Bucket, ...]:
     so equal last pairs are one object across the table.  Both memos are
     keyed by one int.  Every shape, pair and tail the search makes stays
     alive in the table, so the cyclic collector is paused meanwhile: its
-    passes would free nothing.
+    passes would free nothing.  `extend` reaches itself through its
+    closure, so that cycle is cut before returning; otherwise the search's
+    lists, and through them every shape of a table later dropped, would
+    wait for a cyclic collection.
     """
     new, set_pairs = object.__new__, Partition.pairs.__set__
     tails: dict[int, tuple[tuple[int, int]]] = {}
@@ -221,6 +224,7 @@ def _shape_table(n: int, boxes: int) -> tuple[_Bucket, ...]:
     try:
         extend((), boxes, 0, 0, 0, 0)
     finally:
+        extend = None
         if collecting:
             gc.enable()
     return tuple(zip(map(tuple, shapes), map(tuple, zeros)))

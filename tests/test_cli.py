@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qcrystal import cli, identities, multiplicity, qseries, young
 from qcrystal.multiplicity import multiplicity_table
@@ -489,6 +489,50 @@ class TestSwitchingModulus:
         assert builds == [5, 3] and list(multiplicity._tables) == [3, 5]
 
 
+# sha256 of `decompose --format json` at each (n, max-k): uncapped, then with
+# witness caps 0, 1 and 2.  The capped runs write `witnesses_omitted`; n = 4
+# and 8 have components that share a box count.
+DECOMPOSE_JSON_DIGESTS = {
+    (2, 40): (
+        "4554464ce3ea58c68419896ee126ab8c2cbb9341e0a302bc76d407932e1e5608",
+        "dfd503d4f42d68120a64e45d849adb58c9648deecaa6921b5bcd03ffff946976",
+        "75e75132de9f3b198bac4bcee39bb825801cbb560bb24e1d9e354c2686d8d689",
+        "02d5a75560dd559629c99c63773dfa14400992f06ad9d5e63ca79a3e69fdd8f9",
+    ),
+    (3, 25): (
+        "a21a6d5b1c252d02032e3366d0a80b697076c3190d04c6e3993b416137518bb2",
+        "a0f8766f6c28f82f6fe0363e409a527aa148a62ac15b8f9f4c40ed4131aa32e6",
+        "76b39c5b14d13ba062506a2f770574f4afacfe981d405e5f0add14cfd396ad4d",
+        "4b4949d4c01ac098bd0bae0671ebbbd26ffba5447fa963dbdfcf5cb38c7f8153",
+    ),
+    (5, 12): (
+        "28ca435c1762d14348cffb6dd633165025cfbf47e6990abe4c05e190891a04c0",
+        "6ed881f296b10d1ae5da755f041e096418dcc04cd111897c82149172575496ba",
+        "ec440bb8afe77900d469dc401fc591b52aabfd9abfad1e9900d81b0f5e9743e6",
+        "bb956a37feec331643f897ae9c8f27c6e4748cc201102cd181c4dfd1cf8bc7d5",
+    ),
+    (4, 14): (
+        "02d64033b1dde9a6425140e00b5b83238e4ea2ddecef91611ec2b0fee7313966",
+        "c5bc71afd2c9abf2defcae8a61f9a38f52d74842598e98cd6f08ea56d3b03df9",
+        "26715a2d66ef50431a1444d4df3bcf0bebe098b104eb7799eec0068cf4ab002a",
+        "5da840eef6603d3ac8fec6c5110df2bebc5b389073383e53c246f82b422aa872",
+    ),
+    (8, 9): (
+        "a01284cde901d55eaf5c95d32336e201bdb2f639919e9c1f9fbdf79da5d50193",
+        "de658dfba52795f1bd4bf30da21b374e199d25aff6c206e1a8e13d41648dcfbc",
+        "95f2e48ea5f6dbb2df6f20bda5554cdd168b5372626dd7cade16ac9c3bef04d8",
+        "2372589a954f5b6e2f83ca77dead3d78a4185066e7cf3301b06378a6f632da99",
+    ),
+}
+
+
+def decompose_json_cases():
+    for (n, max_k), digests in DECOMPOSE_JSON_DIGESTS.items():
+        for cap, digest in zip((None, 0, 1, 2), digests):
+            capped = "" if cap is None else f" --witness-cap {cap}"
+            yield f"decompose --n {n} --max-k {max_k}{capped} --format json", digest
+
+
 class TestJsonBytes:
     """SHA-256 of the whole stdout.  Speed-ups to enumeration and encoding
     must keep the output byte for byte, so any change to shape order,
@@ -505,10 +549,7 @@ class TestJsonBytes:
                 "decompose --n 2 --max-k 20 --format json",
                 "9d58f80978f5bdee4d25d85bc6dd4f7ebfd86c12d32f31d9438b6a77ec000c02",
             ),
-            (
-                "decompose --n 2 --max-k 40 --format json",
-                "4554464ce3ea58c68419896ee126ab8c2cbb9341e0a302bc76d407932e1e5608",
-            ),
+            *decompose_json_cases(),
             (
                 "bseries --n 5 --method both --order 40 --format json",
                 "9606ec60e2d7c5ecf1f66212bf4f6ed7382d81cf88f95636fb218842190b6042",
@@ -595,9 +636,42 @@ class TestStreamedJsonRows:
         st.lists(json_trees, max_size=6),
     )
     def test_matches_the_joined_layout(self, head, key, rows):
-        assert printed(cli._print_json_rows, head, key, iter(rows)) == printed(
+        encoded = (json.dumps(row) for row in rows)
+        assert printed(cli._print_json_rows, head, key, encoded) == printed(
             print_json_rows_joined, head, key, rows
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 9),
+        max_k=st.integers(0, 8),
+        cap=st.none() | st.integers(0, 3),
+    )
+    @example(n=4, max_k=6, cap=None)
+    @example(n=8, max_k=5, cap=1)
+    @example(n=2, max_k=6, cap=0)
+    def test_decompose_rows_match_the_encoded_row_dicts(self, n, max_k, cap):
+        # The row dicts `decompose` once handed to `json` are the oracle.
+        table = multiplicity_table(n, max_k, cap)
+        expected = [
+            json.dumps(
+                {
+                    "i": i,
+                    "k": k,
+                    "b": entry.count,
+                    "witnesses": [w.pairs for w in entry.witnesses],
+                    **({"witnesses_omitted": entry.omitted} if entry.omitted else {}),
+                }
+            )
+            for (i, k), entry in table.rows()
+        ]
+        assert list(cli._decompose_rows(table)) == expected
+
+    def test_decompose_rows_write_the_null_shape_and_omitted_witnesses(self):
+        rows = list(cli._decompose_rows(multiplicity_table(4, 6, 1)))
+        assert rows[0] == '{"i": 0, "k": 0, "b": 1, "witnesses": [[]]}'
+        assert '{"i": 0, "k": 6, "b": 9, "witnesses": [[[21, 1], [1, 3]]], "witnesses_omitted": 8}' in rows
+        assert all(json.loads(row).get("witnesses_omitted", 1) != 0 for row in rows)
 
     def test_reader_closing_mid_output_is_not_an_error(self):
         proc = subprocess.Popen(

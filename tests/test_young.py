@@ -326,6 +326,25 @@ class TestEnumeration:
             enumerate_maximal_shapes(n, boxes)
             assert young._shape_cache[0] == n
 
+    def test_dropped_table_is_freed_without_the_collector(self):
+        # With the collector off, only reference counting can free the old
+        # table, so after switching modulus the live shapes must be exactly
+        # the new table's (plus those held elsewhere before the test).
+        young._shape_cache = (0, ())
+        gc.collect()
+        held = {id(o) for o in gc.get_objects() if type(o) is Partition}
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            enumerate_maximal_shapes(3, 75)
+            enumerate_maximal_shapes(2, 80)
+            live = {id(o) for o in gc.get_objects() if type(o) is Partition} - held
+            table = {id(p) for shapes, _ in young._shape_cache[1] for p in shapes} - held
+        finally:
+            (gc.enable if was else gc.disable)()
+            young._shape_cache = (0, ())
+        assert live == table and len(table) > 10_000
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             enumerate_maximal_shapes(1, 4)
