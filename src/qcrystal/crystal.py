@@ -1,4 +1,4 @@
-"""Raising and lowering operators on n-regular colored diagrams.
+"""Crystal signatures and maximality on n-regular colored diagrams.
 
 A column of a diagram is removable for color i when its bottom cell has
 color i and deleting that cell leaves a valid diagram shape; it is
@@ -18,12 +18,8 @@ so a signature costs O(distinct parts), not O(width).
 The i-signature records one symbol per contributing column, columns read
 right to left: "+" for admissible, "-" for removable; where a column has
 both, the "-" comes first.  Canceling every adjacent "+-" pair leaves a
-word of the form "-...-+...+".  The raising operator removes the box of
-the last surviving "-" (the minus on the smallest column); the lowering
-operator adds a box at the first surviving "+" (the plus on the largest
-column); one box move serves both.  A color that owns no removable
-corner has no "-" to survive, so its epsilon is 0 and the maximality
-oracle reduces only the colors of the removable corners.
+word of the form "-...-+...+"; epsilon counts its minuses.  A color that
+owns no removable corner has no "-" to survive, so its epsilon is 0.
 """
 
 from dataclasses import dataclass
@@ -34,10 +30,7 @@ __all__ = [
     "SignatureEntry",
     "Signature",
     "i_signature",
-    "e_tilde",
-    "f_tilde",
     "epsilon",
-    "phi",
     "is_maximal_second_factor",
     "is_maximal_structural",
 ]
@@ -58,9 +51,6 @@ class Signature:
     """Signature entries in column-descending (right-to-left) order."""
 
     entries: tuple[SignatureEntry, ...]
-
-    def word(self) -> str:
-        return "".join(e.sign for e in self.entries)
 
     def reduced(self) -> "Signature":
         """Cancel adjacent "+-" pairs until none remain."""
@@ -98,34 +88,9 @@ def i_signature(p: Partition, n: int, i: int) -> Signature:
     )
 
 
-def _moved(p: Partition, entry: SignatureEntry, step: int) -> Partition:
-    """p with `step` (+1 or -1) boxes at the end of `entry.row`; the
-    trailing 0 is the new row that a plus below the diagram fills."""
-    rows = [*p.parts, 0]
-    rows[entry.row - 1] += step
-    return Partition.from_parts(r for r in rows if r > 0)
-
-
-def e_tilde(p: Partition, n: int, i: int) -> Partition | None:
-    """Remove the box of the last surviving minus, or None if there is none."""
-    minuses = [e for e in i_signature(p, n, i).reduced().entries if e.sign == MINUS]
-    return _moved(p, minuses[-1], -1) if minuses else None
-
-
-def f_tilde(p: Partition, n: int, i: int) -> Partition | None:
-    """Add a box at the first surviving plus, or None if there is none."""
-    pluses = [e for e in i_signature(p, n, i).reduced().entries if e.sign == PLUS]
-    return _moved(p, pluses[0], 1) if pluses else None
-
-
 def epsilon(p: Partition, n: int, i: int) -> int:
     """Number of minus signs in the reduced i-signature."""
     return sum(1 for e in i_signature(p, n, i).reduced().entries if e.sign == MINUS)
-
-
-def phi(p: Partition, n: int, i: int) -> int:
-    """Number of plus signs in the reduced i-signature."""
-    return sum(1 for e in i_signature(p, n, i).reduced().entries if e.sign == PLUS)
 
 
 def is_maximal_second_factor(p: Partition, n: int) -> bool:
@@ -133,11 +98,26 @@ def is_maximal_second_factor(p: Partition, n: int) -> bool:
 
     This is the condition for (null diagram) (x) p to be killed by every
     raising operator of the tensor-square crystal.
+
+    One walk over the corners reduces every color's signature at once: a
+    minus cancels a pending plus of its color or survives for good, so the
+    first surviving minus of a nonzero color, or the second of color 0,
+    decides.  A color without a removable corner only counts its pluses.
     """
     _require_crystal_vertex(p, n)
-    # Right to left: no plus cancels the rightmost minus, so its color goes first.
-    colors = dict.fromkeys((col - row) % n for col, sign, row in _corners(p) if sign == MINUS)
-    return all(epsilon(p, n, i) <= (i == 0) for i in colors)
+    pending: dict[int, int] = {}  # color -> pluses not yet cancelled
+    zero_survives = False
+    for col, sign, row in _corners(p):
+        color = (col - row) % n
+        if sign == PLUS:
+            pending[color] = pending.get(color, 0) + 1
+        elif pending.get(color):
+            pending[color] -= 1
+        elif color or zero_survives:
+            return False
+        else:
+            zero_survives = True
+    return True
 
 
 def is_maximal_structural(p: Partition, n: int) -> bool:

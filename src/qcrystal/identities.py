@@ -22,7 +22,6 @@ from .qseries import QSeries
 __all__ = [
     "IdentityReport",
     "distinct_odd_sum_form",
-    "partition_identity_counts",
     "check_lemma_5_1",
     "check_lemma_5_2",
     "check_lemma_5_3",
@@ -193,19 +192,6 @@ def _quadruple(k: int, counts: tuple[list[int], ...]) -> tuple[int, int, int, in
     a = count_maximal_shapes(3, 3 * k)
     b = count_maximal_shapes(3, 3 * k - 2)
     return a, b, c_plus[k] - c_minus[k - 1], d_plus[k - 1] + d_minus[k - 2]
-
-
-def partition_identity_counts(k: int) -> tuple[int, int, int, int]:
-    """The quadruple (a, b, c, d) at index k.
-
-    a and b count chain shapes at 3k and 3k - 2 boxes; c and d are signed
-    combinations of mod-15 restricted partition counts at k and nearby
-    indices.  The counting identities assert a = c (k >= 0) and b = d
-    (k >= 1).
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return _quadruple(k, _mod15_counts(k + 1))
 
 
 def check_theorem_5_1(max_k: int) -> IdentityReport:

@@ -155,11 +155,27 @@ def _count_table(n: int, boxes: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _unpack(poly: int, width: int, slots: int) -> tuple[int, ...]:
-    """The `slots` counts packed in `poly`, decoded by `qs._unpack`.  Raises
-    when a bit lies above the last slot or a slot reached its sign bit: such
-    a slot decodes as negative, and a carry reaches only slots above it."""
-    counts = qs._unpack(poly, width, slots)
-    if poly >> width * slots or min(counts, default=0) < 0:
+    """The `slots` nonnegative `width`-bit counts packed in `poly`, low slot
+    first.  Raises when a bit lies above the last slot or a slot reached its
+    top bit: counts only grow, so a slot carries into the next only after
+    reaching it.  The integer is halved down to leaves of 16 slots, so the
+    decode stays subquadratic; one shift per slot would copy it every time.
+    This decoder is the chain counter's own; the series layer has another."""
+    if poly >> width * slots:
+        raise OverflowError("packed counts exceed their slots")
+    mask = (1 << width) - 1
+    counts: list[int] = []
+
+    def split(v: int, k: int) -> None:
+        if k <= 16:
+            counts.extend([v >> s & mask for s in range(0, width * k, width)])
+            return
+        low = k // 2
+        split(v & ((1 << width * low) - 1), low)
+        split(v >> width * low, k - low)
+
+    split(poly, slots)
+    if max(counts, default=0) >> width - 1:
         raise OverflowError("packed counts exceed their slots")
     return tuple(counts)
 

@@ -2,8 +2,8 @@
 
 Weights live in the lattice spanned by the fundamental weights L_0..L_{n-1}
 and the null root delta; every weight is stored with its coefficients in
-that basis.  Simple roots are expanded on construction, so root bookkeeping
-never leaks out of this module.
+that basis.  A diagram's weight subtracts one simple root per cell, each
+written out in that basis, so no root is ever stored.
 """
 
 from dataclasses import dataclass
@@ -15,7 +15,6 @@ __all__ = [
     "WeightVector",
     "ComponentLabel",
     "fundamental_weight",
-    "simple_root",
     "weight_of",
     "classify_maximal",
     "closed_form_component_index",
@@ -33,15 +32,6 @@ class WeightVector:
     def n(self) -> int:
         return len(self.lam)
 
-    @property
-    def level(self) -> int:
-        """Value on the central element: the sum of the L-coefficients."""
-        return sum(self.lam)
-
-    def pairing(self, j: int) -> int:
-        """Evaluation against the coroot h_j (delta pairs to zero)."""
-        return self.lam[j % self.n]
-
     def _check(self, other: "WeightVector") -> None:
         if self.n != other.n:
             raise ValueError("weight vectors have different rank")
@@ -51,18 +41,6 @@ class WeightVector:
         return WeightVector(
             tuple(a + b for a, b in zip(self.lam, other.lam)), self.delta + other.delta
         )
-
-    def __sub__(self, other: "WeightVector") -> "WeightVector":
-        self._check(other)
-        return WeightVector(
-            tuple(a - b for a, b in zip(self.lam, other.lam)), self.delta - other.delta
-        )
-
-    def __neg__(self) -> "WeightVector":
-        return WeightVector(tuple(-a for a in self.lam), -self.delta)
-
-    def __rmul__(self, c: int) -> "WeightVector":
-        return WeightVector(tuple(c * a for a in self.lam), c * self.delta)
 
 
 class ComponentLabel(NamedTuple):
@@ -78,23 +56,13 @@ def fundamental_weight(i: int, n: int) -> WeightVector:
     return WeightVector(tuple(lam))
 
 
-def simple_root(i: int, n: int) -> WeightVector:
-    """alpha_i = 2 L_i - L_{i-1} - L_{i+1} + [i = 0] delta, indices mod n."""
-    if not 0 <= i < n:
-        raise ValueError("root index out of range")
-    lam = [0] * n
-    lam[i] += 2
-    lam[(i - 1) % n] -= 1
-    lam[(i + 1) % n] -= 1
-    return WeightVector(tuple(lam), 1 if i == 0 else 0)
-
-
 def weight_of(p: Partition, n: int) -> WeightVector:
     """L_0 minus one simple root per cell, grouped by cell color.
 
-    With c_t cells of color t this is L_0 - sum_t c_t alpha_t, each root
-    written out as in simple_root: L_t loses 2 c_t, L_{t-1} and L_{t+1}
-    gain c_t, and delta = -c_0 because alpha_0 alone carries delta.
+    With c_t cells of color t this is L_0 - sum_t c_t alpha_t, where
+    alpha_t = 2 L_t - L_{t-1} - L_{t+1} + [t = 0] delta, indices mod n:
+    L_t loses 2 c_t, L_{t-1} and L_{t+1} gain c_t, and delta = -c_0
+    because alpha_0 alone carries delta.
     """
     counts = color_counts(p, n)  # rejects n < 2 before it indexes anything
     lam = [0] * n

@@ -14,7 +14,6 @@ from operator import index
 __all__ = [
     "Partition",
     "EMPTY",
-    "color_of",
     "color_counts",
     "is_n_regular",
     "is_maximal_shape",
@@ -76,15 +75,6 @@ class Partition:
 
 
 EMPTY = Partition()
-
-
-def color_of(row: int, col: int, n: int) -> int:
-    """Color of the cell in the given (1-based) row and column."""
-    if row < 1 or col < 1:
-        raise ValueError("row and column indices are 1-based")
-    if n < 2:
-        raise ValueError("modulus n must be at least 2")
-    return (col - row) % n
 
 
 def color_counts(p: Partition, n: int) -> tuple[int, ...]:

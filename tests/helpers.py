@@ -1,12 +1,15 @@
 """Brute-force oracles used to pin expected values independently of the
-library's own algorithms, and checks of series laws the library itself
-never calls."""
+library's own algorithms, the crystal operators and weight arithmetic that
+only tests need, and checks of series laws the library itself never calls."""
 
 import functools
 import json
 
+from qcrystal import identities
+from qcrystal.crystal import MINUS, PLUS, i_signature
 from qcrystal.multiplicity import _entry_terms, residue_block
 from qcrystal.qseries import QSeries, theta_f, theta_g
+from qcrystal.weightlat import WeightVector
 from qcrystal.young import Partition
 
 
@@ -161,12 +164,22 @@ def entry_via_separation(j, i, n, order):
     return contract(pre.shift(-residue), n)
 
 
+def color_of(row, col, n):
+    """Color of the cell in the given (1-based) row and column: the rule that
+    `young.color_counts` and `crystal.i_signature` apply a block at a time."""
+    if row < 1 or col < 1:
+        raise ValueError("row and column indices are 1-based")
+    if n < 2:
+        raise ValueError("modulus n must be at least 2")
+    return (col - row) % n
+
+
 def colors_by_cell(parts, n):
-    """Tally of cell colors computed cell by cell."""
+    """Tally of cell colors computed cell by cell; checks `young.color_counts`."""
     counts = [0] * n
     for row, length in enumerate(parts, start=1):
         for col in range(1, length + 1):
-            counts[(col - row) % n] += 1
+            counts[color_of(row, col, n)] += 1
     return tuple(counts)
 
 
@@ -194,6 +207,61 @@ def signature_moves(parts):
                 column = trial[r] + 1 if sign == "-" else trial[r]
                 moves.append((column, sign, r + 1))
     return sorted(moves, key=lambda m: (-m[0], m[1] != "-"))
+
+
+def word(signature):
+    """The signs of a `crystal.Signature`, in its right-to-left order, so
+    tests can state `Signature.reduced` and `crystal.i_signature` as words."""
+    return "".join(e.sign for e in signature.entries)
+
+
+def _box_moved(p, row, step):
+    """p with `step` (+1 or -1) boxes at the end of `row`; the trailing 0 is
+    the new row that a plus below the diagram fills."""
+    rows = [*p.parts, 0]
+    rows[row - 1] += step
+    return Partition.from_parts(r for r in rows if r > 0)
+
+
+def e_tilde(p, n, i):
+    """Raising operator: remove the box of the last surviving minus of the
+    reduced `crystal.i_signature`, or None if there is none.  Its depth
+    checks `crystal.epsilon`; its moves check the signature rule."""
+    minuses = [e for e in i_signature(p, n, i).reduced().entries if e.sign == MINUS]
+    return _box_moved(p, minuses[-1].row, -1) if minuses else None
+
+
+def f_tilde(p, n, i):
+    """Lowering operator: add a box at the first surviving plus of the
+    reduced `crystal.i_signature`, or None if there is none.  It checks the
+    signature rule, and `weightlat.weight_of` through the weight it lowers."""
+    pluses = [e for e in i_signature(p, n, i).reduced().entries if e.sign == PLUS]
+    return _box_moved(p, pluses[0].row, 1) if pluses else None
+
+
+def crystal_phi(p, n, i):
+    """Plus signs in the reduced i-signature; phi - epsilon is the coroot
+    pairing of the weight, which checks `crystal.epsilon` and
+    `weightlat.weight_of` against each other."""
+    return sum(1 for e in i_signature(p, n, i).reduced().entries if e.sign == PLUS)
+
+
+def simple_root(i, n):
+    """alpha_i = 2 L_i - L_{i-1} - L_{i+1} + [i = 0] delta, indices mod n:
+    the root that `weightlat.weight_of` subtracts once per cell of color i."""
+    if not 0 <= i < n:
+        raise ValueError("root index out of range")
+    lam = [0] * n
+    lam[i] += 2
+    lam[(i - 1) % n] -= 1
+    lam[(i + 1) % n] -= 1
+    return WeightVector(tuple(lam), 1 if i == 0 else 0)
+
+
+def scaled(c, w):
+    """The weight c * w, for stating what `weightlat.weight_of` returns; the
+    library itself only ever adds weights."""
+    return WeightVector(tuple(c * a for a in w.lam), c * w.delta)
 
 
 def chain_shapes_per_box_count(n, boxes):
@@ -372,6 +440,21 @@ def restricted_partition_gf_by_loops(excluded, modulus, order):
         for x in range(j, order):
             window[x] += window[x - j]
     return QSeries.from_coeffs(window, order)
+
+
+def partition_identity_counts(k):
+    """The quadruple (a, b, c, d) of theorem 5.1 at index k, from series cut
+    at order k + 1.  `identities.check_theorem_5_1` reads every index from
+    one set of series at its largest order; this checks what it reports.
+
+    a and b count chain shapes at 3k and 3k - 2 boxes; c and d are signed
+    combinations of mod-15 restricted partition counts at k and nearby
+    indices.  The counting identities assert a = c (k >= 0) and b = d
+    (k >= 1).
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    return identities._quadruple(k, identities._mod15_counts(k + 1))
 
 
 def distinct_odd_sum_form_by_loops(i, order):

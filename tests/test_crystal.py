@@ -9,18 +9,25 @@ from qcrystal.crystal import (
     PLUS,
     Signature,
     SignatureEntry,
-    e_tilde,
     epsilon,
-    f_tilde,
     i_signature,
     is_maximal_second_factor,
     is_maximal_structural,
-    phi,
 )
-from qcrystal.weightlat import simple_root, weight_of
+from qcrystal.weightlat import weight_of
 from qcrystal.young import EMPTY, Partition, is_maximal_shape, is_n_regular
 
-from helpers import partitions_upto, regular_blocks, signature_moves
+from helpers import (
+    crystal_phi,
+    e_tilde,
+    f_tilde,
+    partitions_upto,
+    regular_blocks,
+    scaled,
+    signature_moves,
+    simple_root,
+    word,
+)
 
 
 def P(parts):
@@ -81,18 +88,17 @@ def assert_matches_moves_oracle(d, n):
 
 class TestSignature:
     def test_reduction_word_cases(self):
-        assert word_of("+-").reduced().word() == ""
-        assert word_of("-+").reduced().word() == "-+"
-        assert word_of("++--").reduced().word() == ""
-        assert word_of("-++--+").reduced().word() == "-+"
-        assert Signature.reduced(word_of("+-")).word() == ""
+        assert word(word_of("+-").reduced()) == ""
+        assert word(word_of("-+").reduced()) == "-+"
+        assert word(word_of("++--").reduced()) == ""
+        assert word(word_of("-++--+").reduced()) == "-+"
+        assert word(Signature.reduced(word_of("+-"))) == ""
 
     def test_reduced_shape_on_diagrams(self):
         for n in (2, 3):
             for d in regular_diagrams(n, 9):
                 for i in range(n):
-                    word = i_signature(d, n, i).reduced().word()
-                    assert "+-" not in word  # minuses precede pluses
+                    assert "+-" not in word(i_signature(d, n, i).reduced())  # minuses precede pluses
 
     def test_columns_contribute_at_most_once(self):
         for n in (2, 3, 4):
@@ -105,9 +111,9 @@ class TestSignature:
     def test_signature_examples(self):
         sig = i_signature(P([4, 3, 2]), 3, 0)
         assert any(e.column == 4 and e.sign == MINUS for e in sig.entries)
-        assert i_signature(EMPTY, 3, 0).word() == PLUS
-        assert i_signature(EMPTY, 3, 1).word() == ""
-        assert i_signature(EMPTY, 3, 2).word() == ""
+        assert word(i_signature(EMPTY, 3, 0)) == PLUS
+        assert word(i_signature(EMPTY, 3, 1)) == ""
+        assert word(i_signature(EMPTY, 3, 2)) == ""
 
     def test_matches_moves_oracle(self):
         for n in range(2, 8):
@@ -174,7 +180,7 @@ class TestOperators:
 
     def test_epsilon_phi_examples(self):
         assert epsilon(EMPTY, 3, 0) == 0
-        assert phi(EMPTY, 3, 0) == 1
+        assert crystal_phi(EMPTY, 3, 0) == 1
 
     def test_mutually_inverse(self):
         for n in (2, 3, 4):
@@ -214,7 +220,7 @@ class TestOperators:
                 for i in range(n):
                     up = f_tilde(d, n, i)
                     if up is not None:
-                        assert weight_of(up, n) == weight_of(d, n) - simple_root(i, n)
+                        assert weight_of(up, n) == weight_of(d, n) + scaled(-1, simple_root(i, n))
 
     def test_phi_minus_epsilon_is_coroot_pairing(self):
         rng = random.Random(7)
@@ -228,7 +234,8 @@ class TestOperators:
             d = P(parts)
             w = weight_of(d, n)
             for i in range(n):
-                assert phi(d, n, i) - epsilon(d, n, i) == w.pairing(i), (parts, n, i)
+                # The coroot h_i reads the coefficient of L_i; delta pairs to zero.
+                assert crystal_phi(d, n, i) - epsilon(d, n, i) == w.lam[i], (parts, n, i)
 
     def test_level_one_crystal_generated_from_vacuum(self):
         # Lowering operators starting from the null diagram reach exactly

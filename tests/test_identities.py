@@ -11,12 +11,16 @@ from qcrystal.identities import (
     check_theorem_5_1,
     check_triple_product,
     distinct_odd_sum_form,
-    partition_identity_counts,
 )
 from qcrystal.multiplicity import gf_comb
 from qcrystal.qseries import QSeries, euler_phi, first_difference, theta_f
 
-from helpers import count_distinct_odd, count_partitions, distinct_odd_sum_form_by_loops
+from helpers import (
+    count_distinct_odd,
+    count_partitions,
+    distinct_odd_sum_form_by_loops,
+    partition_identity_counts,
+)
 
 
 class TestReport:

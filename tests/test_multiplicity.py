@@ -1,3 +1,4 @@
+import sys
 from unittest import mock
 
 import pytest
@@ -627,6 +628,40 @@ def _forbid(monkeypatch, module, *names):
 
 class TestRouteIndependence:
     """Neither route may lean on the other's machinery."""
+
+    # Building a series is all that the two routes may both run.
+    SHARED = {QSeries.__init__.__code__, QSeries.__post_init__.__code__, QSeries._new.__code__}
+
+    @staticmethod
+    def _library_code_run(monkeypatch, route, n, order):
+        """Every library function that `route` runs for every component of
+        modulus n, starting from cold caches, as code object -> module."""
+        monkeypatch.setattr(multiplicity, "_tables", {})
+        monkeypatch.setattr(qs, "_phi_base", QSeries.one(1))
+        multiplicity._theta_solve.cache_clear()
+        qs._cofactors.cache_clear()
+        seen = {}
+
+        def record(frame, event, arg):
+            module = frame.f_globals.get("__name__", "")
+            if event == "call" and module.startswith("qcrystal."):
+                seen[frame.f_code] = module
+
+        previous = sys.getprofile()
+        sys.setprofile(record)
+        try:
+            for i in range(n // 2 + 1):
+                route(i, n, order)
+        finally:
+            sys.setprofile(previous)
+        return seen
+
+    @pytest.mark.parametrize("n, order", [(3, 200), (7, 150), (13, 60)])
+    def test_routes_share_only_the_series_container(self, monkeypatch, n, order):
+        comb = self._library_code_run(monkeypatch, gf_comb, n, order)
+        theta = self._library_code_run(monkeypatch, gf_theta, n, order)
+        shared = comb.keys() & theta.keys()
+        assert shared == self.SHARED, sorted((comb[code], code.co_name) for code in shared)
 
     def test_theta_route_uses_no_shapes_or_chain_counts(self, monkeypatch):
         expected = tuple(gf_comb(i, 11, 40) for i in range(6))

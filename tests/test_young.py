@@ -10,7 +10,6 @@ from qcrystal.young import (
     EMPTY,
     Partition,
     color_counts,
-    color_of,
     enumerate_maximal_shapes,
     is_maximal_shape,
     is_n_regular,
@@ -19,6 +18,7 @@ from qcrystal.young import (
 
 from helpers import (
     chain_shapes_per_box_count,
+    color_of,
     colors_by_cell,
     count_distinct_odd,
     partitions_of,
