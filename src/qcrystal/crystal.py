@@ -18,49 +18,21 @@ so a signature costs O(distinct parts), not O(width).
 The i-signature records one symbol per contributing column, columns read
 right to left: "+" for admissible, "-" for removable; where a column has
 both, the "-" comes first.  Canceling every adjacent "+-" pair leaves a
-word of the form "-...-+...+"; epsilon counts its minuses.  A color that
+word of the form "-...-+...+"; epsilon_i counts its minuses.  A color that
 owns no removable corner has no "-" to survive, so its epsilon is 0.
+`_corners` lists the symbols of every color at once, and both maximality
+oracles read that one list.
 """
-
-from dataclasses import dataclass
 
 from .young import Partition, is_n_regular
 
 __all__ = [
-    "SignatureEntry",
-    "Signature",
-    "i_signature",
-    "epsilon",
     "is_maximal_second_factor",
     "is_maximal_structural",
 ]
 
 PLUS = "+"
 MINUS = "-"
-
-
-@dataclass(frozen=True)
-class SignatureEntry:
-    column: int
-    sign: str
-    row: int  # row of the box that would be removed (-) or added (+)
-
-
-@dataclass(frozen=True)
-class Signature:
-    """Signature entries in column-descending (right-to-left) order."""
-
-    entries: tuple[SignatureEntry, ...]
-
-    def reduced(self) -> "Signature":
-        """Cancel adjacent "+-" pairs until none remain."""
-        stack: list[SignatureEntry] = []
-        for e in self.entries:
-            if e.sign == MINUS and stack and stack[-1].sign == PLUS:
-                stack.pop()
-            else:
-                stack.append(e)
-        return Signature(tuple(stack))
 
 
 def _require_crystal_vertex(p: Partition, n: int) -> None:
@@ -76,21 +48,6 @@ def _corners(p: Partition):
         row += mult
         yield part, MINUS, row
     yield 1, PLUS, row + 1
-
-
-def i_signature(p: Partition, n: int, i: int) -> Signature:
-    """Signature of color i, one entry per contributing column."""
-    _require_crystal_vertex(p, n)
-    if not 0 <= i < n:
-        raise ValueError("color index out of range")
-    return Signature(
-        tuple(SignatureEntry(col, sign, row) for col, sign, row in _corners(p) if (col - row) % n == i)
-    )
-
-
-def epsilon(p: Partition, n: int, i: int) -> int:
-    """Number of minus signs in the reduced i-signature."""
-    return sum(1 for e in i_signature(p, n, i).reduced().entries if e.sign == MINUS)
 
 
 def is_maximal_second_factor(p: Partition, n: int) -> bool:

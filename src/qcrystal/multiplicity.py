@@ -127,6 +127,16 @@ def _count_table(n: int, boxes: int) -> tuple[tuple[int, ...], ...]:
     box count r^2 mod n + s*n into an int; a transition is one shift-add.
     State r ends in component min(r, n - r), which shares its residue class.
 
+    A part p = nP + rho moves state r by f = (rho - 2r) mod n rows to
+    to = (r + f) mod n, shifting its slots by P*f + fixed with the exact
+    fixed = (r^2 mod n + rho*f - to^2 mod n) / n, so each residue lists its
+    moves (r, f, to, fixed), f != 0, once; a move from an empty state is
+    skipped.  Rows and parts never outnumber boxes, so only r and rho below
+    min(n, boxes + 1) are listed, and a move only if r^2 mod n + f*least
+    <= boxes for the least part of its residue, rho or n: found from
+    f <= boxes // least and 2r = rho - f mod n, that is about
+    boxes * ln(boxes) moves when boxes < n, not n^2.
+
     Every slot counts partitions of one box count B' <= B = `boxes`, at
     most p(B') <= p(B), so p(B)'s bits plus a sign bit hold it.  For
     B >= 1, p(B) < exp(pi sqrt(2B/3)) (T. M. Apostol, Introduction to
@@ -139,16 +149,34 @@ def _count_table(n: int, boxes: int) -> tuple[tuple[int, ...], ...]:
     width = _slot_width(boxes)
     base = [r * r % n for r in range(n)]
     slots = [(boxes - b) // n + 1 for b in base]
+    top = [k * width for k in slots]
+    live = range(min(n, boxes + 1))
+    halves: list[list[int]] = [[] for _ in range(n)]  # d -> states r with 2r = d mod n
+    for r in live:
+        halves[2 * r % n].append(r)
+    moves = []  # moves[rho]: (r, f, to, fixed) for a part of residue rho
+    for rho in live:
+        least = rho or n
+        row = []
+        for f in range(1, min(n, boxes // least + 1)):
+            for r in halves[(rho - f) % n]:
+                if base[r] + least * f <= boxes:
+                    to = (r + f) % n
+                    row.append((r, f, to, (base[r] + rho * f - base[to]) // n))
+        moves.append(row)
     states = [1] + [0] * (n - 1)
     for part in range(boxes, 0, -1):
-        for r, poly in enumerate(states[:]):  # read before this part's moves
-            mult = (part - 2 * r) % n
-            to = (r + mult) % n
-            room = (slots[to] - (base[r] + part * mult - base[to]) // n) * width
-            if poly and mult and room > 0:
-                if poly.bit_length() > room:
-                    poly &= (1 << room) - 1
-                states[to] += poly << (slots[to] * width - room)
+        P, rho = divmod(part, n)
+        src = states[:]  # read before this part's moves
+        for r, f, to, fixed in moves[rho]:
+            poly = src[r]
+            if poly:
+                shift = (P * f + fixed) * width
+                room = top[to] - shift
+                if room > 0:
+                    if poly.bit_length() > room:
+                        poly &= (1 << room) - 1
+                    states[to] += poly << shift
     for r in range(n // 2 + 1, n):
         states[n - r] += states[r]
     return tuple(_unpack(states[i], width, slots[i]) for i in range(n // 2 + 1))

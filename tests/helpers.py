@@ -4,9 +4,10 @@ only tests need, and checks of series laws the library itself never calls."""
 
 import functools
 import json
+from dataclasses import dataclass
 
 from qcrystal import identities
-from qcrystal.crystal import MINUS, PLUS, i_signature
+from qcrystal.crystal import MINUS, PLUS, _corners, _require_crystal_vertex
 from qcrystal.multiplicity import _entry_terms, residue_block
 from qcrystal.qseries import QSeries, theta_f, theta_g
 from qcrystal.weightlat import WeightVector
@@ -166,7 +167,7 @@ def entry_via_separation(j, i, n, order):
 
 def color_of(row, col, n):
     """Color of the cell in the given (1-based) row and column: the rule that
-    `young.color_counts` and `crystal.i_signature` apply a block at a time."""
+    `young.color_counts` and `crystal._corners` apply a block at a time."""
     if row < 1 or col < 1:
         raise ValueError("row and column indices are 1-based")
     if n < 2:
@@ -209,9 +210,52 @@ def signature_moves(parts):
     return sorted(moves, key=lambda m: (-m[0], m[1] != "-"))
 
 
+@dataclass(frozen=True)
+class SignatureEntry:
+    column: int
+    sign: str
+    row: int  # row of the box that would be removed (-) or added (+)
+
+
+@dataclass(frozen=True)
+class Signature:
+    """Signature entries in column-descending (right-to-left) order."""
+
+    entries: tuple[SignatureEntry, ...]
+
+    def reduced(self) -> "Signature":
+        """Cancel adjacent "+-" pairs until none remain."""
+        stack: list[SignatureEntry] = []
+        for e in self.entries:
+            if e.sign == MINUS and stack and stack[-1].sign == PLUS:
+                stack.pop()
+            else:
+                stack.append(e)
+        return Signature(tuple(stack))
+
+
+def i_signature(p, n, i):
+    """Signature of color i, one entry per contributing column: the one
+    color of `crystal._corners` that `crystal.is_maximal_second_factor`
+    reduces alongside all the others."""
+    _require_crystal_vertex(p, n)
+    if not 0 <= i < n:
+        raise ValueError("color index out of range")
+    return Signature(
+        tuple(SignatureEntry(col, sign, row) for col, sign, row in _corners(p) if (col - row) % n == i)
+    )
+
+
+def epsilon(p, n, i):
+    """Number of minus signs in the reduced i-signature, one color at a
+    time; checks `crystal.is_maximal_second_factor`, which reduces every
+    color in one walk."""
+    return sum(1 for e in i_signature(p, n, i).reduced().entries if e.sign == MINUS)
+
+
 def word(signature):
-    """The signs of a `crystal.Signature`, in its right-to-left order, so
-    tests can state `Signature.reduced` and `crystal.i_signature` as words."""
+    """The signs of a `Signature`, in its right-to-left order, so tests can
+    state `Signature.reduced` and `i_signature` as words."""
     return "".join(e.sign for e in signature.entries)
 
 
@@ -225,15 +269,15 @@ def _box_moved(p, row, step):
 
 def e_tilde(p, n, i):
     """Raising operator: remove the box of the last surviving minus of the
-    reduced `crystal.i_signature`, or None if there is none.  Its depth
-    checks `crystal.epsilon`; its moves check the signature rule."""
+    reduced `i_signature`, or None if there is none.  Its depth checks
+    `epsilon`; its moves check the signature rule."""
     minuses = [e for e in i_signature(p, n, i).reduced().entries if e.sign == MINUS]
     return _box_moved(p, minuses[-1].row, -1) if minuses else None
 
 
 def f_tilde(p, n, i):
     """Lowering operator: add a box at the first surviving plus of the
-    reduced `crystal.i_signature`, or None if there is none.  It checks the
+    reduced `i_signature`, or None if there is none.  It checks the
     signature rule, and `weightlat.weight_of` through the weight it lowers."""
     pluses = [e for e in i_signature(p, n, i).reduced().entries if e.sign == PLUS]
     return _box_moved(p, pluses[0].row, 1) if pluses else None
@@ -241,7 +285,7 @@ def f_tilde(p, n, i):
 
 def crystal_phi(p, n, i):
     """Plus signs in the reduced i-signature; phi - epsilon is the coroot
-    pairing of the weight, which checks `crystal.epsilon` and
+    pairing of the weight, which checks `epsilon` and
     `weightlat.weight_of` against each other."""
     return sum(1 for e in i_signature(p, n, i).reduced().entries if e.sign == PLUS)
 

@@ -7,10 +7,6 @@ from qcrystal.crystal import (
     _corners,
     MINUS,
     PLUS,
-    Signature,
-    SignatureEntry,
-    epsilon,
-    i_signature,
     is_maximal_second_factor,
     is_maximal_structural,
 )
@@ -18,9 +14,13 @@ from qcrystal.weightlat import weight_of
 from qcrystal.young import EMPTY, Partition, is_maximal_shape, is_n_regular
 
 from helpers import (
+    Signature,
+    SignatureEntry,
     crystal_phi,
     e_tilde,
+    epsilon,
     f_tilde,
+    i_signature,
     partitions_upto,
     regular_blocks,
     scaled,

@@ -19,7 +19,15 @@ from qcrystal.multiplicity import (
     residue_block,
     theta_branch,
 )
-from qcrystal.qseries import QSeries, euler_phi, restricted_partition_gf, theta_f, theta_g
+from qcrystal.qseries import (
+    QSeries,
+    euler_phi,
+    restricted_partition_gf,
+    theta_f,
+    theta_g,
+    triple_product_f,
+    triple_product_g,
+)
 from qcrystal.weightlat import classify_maximal
 from qcrystal.young import EMPTY, Partition, color_counts, enumerate_maximal_shapes
 
@@ -157,11 +165,28 @@ class TestCounting:
                 assert list(count_by_component(n, boxes)) == by_class, (n, boxes)
                 assert count_maximal_shapes(n, boxes) == len(members)
 
+    def test_large_modulus_at_few_boxes_matches_enumeration(self):
+        # Each request is served from one table rounded up to 757 boxes,
+        # (n // 2)^2 mod n, with fewer boxes than states.
+        n = 1009
+        for boxes in range(31):
+            by_class = [0] * (n // 2 + 1)
+            for m in enumerate_maximal_shapes(n, boxes):
+                by_class[classify_maximal(m, n).i] += 1
+            assert list(count_by_component(n, boxes)) == by_class, boxes
+
     def test_matches_pair_keyed_oracle_at_every_bound(self):
         # Each bound truncates every residue class at a different slot.
         for n in range(2, 17):
             for boxes in range(121):
                 assert_rows_match_oracle(n, boxes)
+
+    @pytest.mark.parametrize("n", [17, 31, 53, 101])
+    def test_matches_pair_keyed_oracle_around_the_modulus(self, n):
+        # Below n boxes the counter lists only states and part residues up
+        # to the box count; at and past n it lists them all.
+        for boxes in [*range(n + 3), 2 * n]:
+            assert_rows_match_oracle(n, boxes)
 
     @pytest.mark.parametrize("n, boxes", [(2, 2000), (3, 1500)])
     def test_matches_pair_keyed_oracle_at_scale(self, n, boxes):
@@ -633,9 +658,9 @@ class TestRouteIndependence:
     SHARED = {QSeries.__init__.__code__, QSeries.__post_init__.__code__, QSeries._new.__code__}
 
     @staticmethod
-    def _library_code_run(monkeypatch, route, n, order):
-        """Every library function that `route` runs for every component of
-        modulus n, starting from cold caches, as code object -> module."""
+    def _library_code_run(monkeypatch, build):
+        """Every library function that `build()` runs, starting from cold
+        caches, as code object -> module."""
         monkeypatch.setattr(multiplicity, "_tables", {})
         monkeypatch.setattr(qs, "_phi_base", QSeries.one(1))
         multiplicity._theta_solve.cache_clear()
@@ -650,18 +675,41 @@ class TestRouteIndependence:
         previous = sys.getprofile()
         sys.setprofile(record)
         try:
-            for i in range(n // 2 + 1):
-                route(i, n, order)
+            build()
         finally:
             sys.setprofile(previous)
         return seen
 
+    def _assert_share_only_the_series_container(self, monkeypatch, build, other):
+        ran = self._library_code_run(monkeypatch, build)
+        shared = ran.keys() & self._library_code_run(monkeypatch, other).keys()
+        assert shared == self.SHARED, sorted((ran[code], code.co_name) for code in shared)
+
     @pytest.mark.parametrize("n, order", [(3, 200), (7, 150), (13, 60)])
     def test_routes_share_only_the_series_container(self, monkeypatch, n, order):
-        comb = self._library_code_run(monkeypatch, gf_comb, n, order)
-        theta = self._library_code_run(monkeypatch, gf_theta, n, order)
-        shared = comb.keys() & theta.keys()
-        assert shared == self.SHARED, sorted((comb[code], code.co_name) for code in shared)
+        def every_component(route):
+            return lambda: [route(i, n, order) for i in range(n // 2 + 1)]
+
+        self._assert_share_only_the_series_container(
+            monkeypatch, every_component(gf_comb), every_component(gf_theta)
+        )
+
+    @pytest.mark.parametrize("r, s", [(3, 5), (0, 4), (2, 2)])
+    def test_triple_product_sides_share_only_the_series_container(self, monkeypatch, r, s):
+        # The two sides of `verify --identity triple-product`: bilateral sums
+        # against products built from the stride r + s Euler product.
+        self._assert_share_only_the_series_container(
+            monkeypatch,
+            lambda: (theta_f(r, s, 300), theta_g(r, s, 300)),
+            lambda: (triple_product_f(r, s, 300), triple_product_g(r, s, 300)),
+        )
+
+    def test_pentagonal_sides_share_only_the_series_container(self, monkeypatch):
+        # `triple-product[pentagonal]`: theta_g(1, 2) against the Euler
+        # product, built from a cold `_phi_base`.
+        self._assert_share_only_the_series_container(
+            monkeypatch, lambda: theta_g(1, 2, 300), lambda: euler_phi(300)
+        )
 
     def test_theta_route_uses_no_shapes_or_chain_counts(self, monkeypatch):
         expected = tuple(gf_comb(i, 11, 40) for i in range(6))
