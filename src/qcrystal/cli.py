@@ -9,6 +9,7 @@ QSERIES_ORDER environment variable supplies a default truncation order
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -257,6 +258,9 @@ def _cmd_verify(args) -> int:
 # -- parser -----------------------------------------------------------------
 
 
+# One parser serves every `main` call in a process; parsing leaves it as
+# it was.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcrystal",

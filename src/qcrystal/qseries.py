@@ -14,8 +14,8 @@ series, say) with few enough term pairs for the window are multiplied one
 term pair at a time.  A factor with few nonzero coefficients against a
 denser one takes one slice pass over it per term.  Other pairs are packed
 into one big integer each (Kronecker substitution) with signed slots one
-bit wider than a proven coefficient bound.  Determinants keep their
-Laplace minors packed too.
+bit wider than a proven coefficient bound.  Determinants, of matrices
+whose entries have valuation >= 0, keep their Laplace minors packed too.
 
 Products are exact: when a factor has negative valuation, coefficients of
 the product near the truncation bound would need tail data that a
@@ -598,46 +598,21 @@ def _square_rows(matrix) -> tuple[tuple[QSeries, ...], ...]:
         for entry in r:
             if entry.order != order:
                 raise OrderMismatchError("matrix entries must share one truncation order")
+            if entry.lowest < 0:
+                raise ValueError("matrix entries must have valuation >= 0")
     return rows
 
 
-def _laplace(rows: tuple[tuple[QSeries, ...], ...]):
-    """Determinant of the trailing rows restricted to a column tuple, for
-    matrices with an entry of negative valuation.
-
-    Laplace expansion along the top remaining row, memoised on the column
-    set, so every minor is computed once: 2^size column sets in all.  A
-    one-column minor is the bottom row's entry itself, exact, not that
-    entry times 1 + O(q^order).  Every term joins the sum through
-    `_add_product`, zero entries and zero minors included: O(q^order)
-    times a series of negative valuation still lowers the bound.
-    """
-    size, order = len(rows), rows[0][0].order
-    cache: dict[tuple[int, ...], QSeries] = {(): QSeries.one(order)}
-    cache.update(((col,), entry) for col, entry in enumerate(rows[-1]))
-
-    def minor(cols: tuple[int, ...]) -> QSeries:
-        hit = cache.get(cols)
-        if hit is not None:
-            return hit
-        row = rows[size - len(cols)]
-        acc = QSeries.zero(order)
-        for pos, col in enumerate(cols):
-            acc = _add_product(acc, row[col], minor(cols[:pos] + cols[pos + 1:]), pos % 2)
-        cache[cols] = acc
-        return acc
-
-    return minor
-
-
 def _packed_laplace(rows: tuple[tuple[QSeries, ...], ...]):
-    """`_laplace` for entries of valuation >= 0, each minor of two or more
-    columns one integer with a signed `slot`-bit slot per coefficient, so
-    an entry times a minor is a shift-add per nonzero entry coefficient.
-    A permanent is at most the product of its row sums, so no coefficient
-    of a minor or partial sum exceeds max|bottom row| times the sum of
-    |coefficients| of each row between row 0 and the bottom: the slot is
-    that bound's bit length plus a sign bit.
+    """Laplace expansion of the trailing rows along their top one, memoised
+    on the column set, so every minor is computed once.  A one-column minor
+    is the bottom entry itself; a wider one is one integer with a signed
+    `slot`-bit slot per coefficient, so an entry times a minor is a
+    shift-add per nonzero entry coefficient.  A permanent is at most the
+    product of its row sums, so no coefficient of a minor or partial sum
+    exceeds max|bottom row| times the sum of |coefficients| of each row
+    between row 0 and the bottom: the slot is that bound's bit length plus
+    a sign bit.
     """
     size, order = len(rows), rows[0][0].order
     bottom = rows[-1]
@@ -682,32 +657,14 @@ def _packed_laplace(rows: tuple[tuple[QSeries, ...], ...]):
     return minor
 
 
-def _add_product(acc: QSeries, entry: QSeries, factor: QSeries, negate) -> QSeries:
-    """acc -+ entry * factor at the lowest bound all three support.  A factor
-    known to a lower order than the entry (only below negative valuation)
-    is padded with zeros up to it, and the product cut where the padding
-    first reaches."""
-    if factor.order < entry.order:
-        padded = QSeries._new(factor.lowest, [*factor.coeffs, *[0] * (entry.order - factor.order)], entry.order)
-        term = entry * padded
-        term = term.truncate(min(term.order, factor.order + min(0, entry.lowest)))
-    else:
-        term = entry * factor
-    if term.order != acc.order:
-        bound = min(acc.order, term.order)
-        term, acc = term.truncate(bound), acc.truncate(bound)
-    return acc - term if negate else acc + term
-
-
 def det(matrix) -> QSeries:
-    """Determinant of a square matrix of same-order series: the Laplace
-    step along row 0, sum of row0[i] * cofactors(matrix)[i]."""
+    """Determinant of a square matrix of same-order series, each of
+    valuation >= 0: the Laplace step along row 0, the sum of
+    row0[i] * cofactors(matrix)[i]."""
     rows = _square_rows(matrix)
-    if len(rows) == 1:
-        return rows[0][0]
     acc = QSeries.zero(rows[0][0].order)
     for entry, cofactor in zip(rows[0], _cofactors(rows)):
-        acc = _add_product(acc, entry, cofactor, False)
+        acc = acc + entry * cofactor
     return acc
 
 
@@ -715,16 +672,16 @@ def cofactors(matrix) -> tuple[QSeries, ...]:
     """Cofactors along the first row: (-1)^i times the minor without row 0
     and column i.  They share one memoised expansion of the other rows,
     and those of the most recent matrix are kept, so `det` and `cofactors`
-    of one matrix expand it once.  Each carries its own truncation bound,
-    below the entries' only when some entry has negative valuation."""
+    of one matrix expand it once.  An entry of negative valuation raises
+    `ValueError`."""
     return _cofactors(_square_rows(matrix))
 
 
 @lru_cache(maxsize=1)
 def _cofactors(rows: tuple[tuple[QSeries, ...], ...]) -> tuple[QSeries, ...]:
-    # below order 1 every entry is zero and there is no slot to pack
-    packable = rows[0][0].order > 0 and all(entry.lowest >= 0 for row in rows for entry in row)
-    minor = (_packed_laplace if packable else _laplace)(rows)
+    if rows[0][0].order < 1:  # every entry and cofactor is zero
+        return (QSeries.zero(rows[0][0].order),) * len(rows)
+    minor = _packed_laplace(rows)
     cols = tuple(range(len(rows)))
     out = []
     for i in cols:

@@ -488,6 +488,16 @@ class TestSwitchingModulus:
         assert third == first
         assert builds == [5, 3] and list(multiplicity._tables) == [3, 5]
 
+    def test_one_parser_serves_every_call(self, capsys):
+        cli.build_parser.cache_clear()
+        first, second = self._outputs(
+            [["bseries", "--n", "3", "--order", "5", "--format", "csv"], ["decompose", "--n", "2", "--max-k", "3"]],
+            capsys,
+        )
+        assert first.startswith("i,m,comb\n") and second.startswith("multiplicities for n=2")
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
 
 # sha256 of `decompose --format json` at each (n, max-k): uncapped, then with
 # witness caps 0, 1 and 2.  The capped runs write `witnesses_omitted`; n = 4

@@ -884,18 +884,16 @@ class TestDeterminant:
             assert det(zeros) == QSeries.zero(order)
             assert cofactors(zeros) == (QSeries.zero(order),) * 3
 
-    def test_negative_valuation_lowers_the_bound(self):
-        # (q^-1 + 2 + 3 q + O(q^3)) * (1 + O(q^3)) is only known below q^2.
+    @pytest.mark.parametrize("row", [0, 1, 2], ids=["top", "middle", "bottom"])
+    def test_negative_valuation_raises(self, row):
         a = QSeries.from_coeffs([1, 2, 3], 3, lowest=-1)
-        one = QSeries.one(3)
-        assert det([[a, one], [one, one]]) == QSeries.from_coeffs([1, 1, 3], 2, lowest=-1)
-        # A one-column minor is the entry itself, not the entry times 1 + O(q^3).
-        assert cofactors([[one, one], [one, a]]) == (a, -one)
-        assert det([[a]]) == a
-        # A zero entry still lowers the bound: O(q^3) * q^-1 is O(q^2).
-        zero = QSeries.zero(3)
-        assert det([[zero, one], [one, a]]).order == 2
-        assert cofactors([[one, one, one], [one, zero, one], [one, one, a]])[0] == -one.truncate(2)
+        mat = [[QSeries.one(3)] * 3 for _ in range(3)]
+        mat[row] = [QSeries.one(3), a, QSeries.zero(3)]
+        for fn in (det, cofactors):
+            with pytest.raises(ValueError, match="valuation"):
+                fn(mat)
+        with pytest.raises(ValueError, match="valuation"):
+            det([[a]])
 
     def test_against_permanent_style_expansion(self):
         rng = random.Random(6)
@@ -912,9 +910,8 @@ class TestDeterminant:
         "size, order, min_lowest, magnitude, zero_share, zero_row",
         [
             pytest.param(7, 6, 0, 9, 0, None, id="7-6-0"),
-            pytest.param(5, 16, -2, 9, 0, None, id="5-16--2"),
-            # Valuation >= 0 runs the packed expansion from size 3 on; the
-            # comments give its slot width in bits.
+            # The packed expansion runs from size 3 on; the comments give
+            # its slot width in bits.
             (1, 40, 0, 9, 0, None),
             (2, 40, 0, 2**70, 0.3, None),
             (3, 1, 0, 3, 0, None),  # 5
@@ -932,42 +929,23 @@ class TestDeterminant:
         ],
     )
     def test_against_permutation_sum(self, size, order, min_lowest, magnitude, zero_share, zero_row):
-        # A factor is known on [lowest, order) (a zero one on everything
-        # below order), so a term of factors with lowests l_1..l_size is
-        # known below order + sum(l) - max(l); partial products keep every
-        # exponent a later factor can bring below order.
         rng = random.Random(7)
         mat = rand_matrix(rng, size, order, 2, min_lowest, magnitude, zero_share, zero_row)
         dicts = [[series_to_dict(entry) for entry in row] for row in mat]
         got = det(mat)
-        if min_lowest == 0:
-            assert got.order == order
-            assert series_to_dict(got) == leibniz_det(dicts, order)
-            cof = cofactors(mat)
-            for i in range(size):
-                minor = [row[:i] + row[i + 1:] for row in dicts[1:]]
-                expected = leibniz_det(minor, order) if minor else {0: 1}
-                assert series_to_dict(cof[i]) == {e: (-1) ** i * c for e, c in expected.items()}, i
-                assert cof[i].order == order
-            return
-        lowests = [[entry.order if entry.is_zero else entry.lowest for entry in row] for row in mat]
-        known = min(
-            order + sum(ls) - max(ls)
-            for ls in ([lowests[row][col] for row, col in enumerate(perm)] for perm in itertools.permutations(range(size)))
-        )
-        expected = leibniz_det(dicts, order - size * min_lowest)
-        # Laplace keeps a k-row minor known below order + (k - 1) * v, v the
-        # least valuation of any entry; no expansion knows more than Leibniz.
-        least = min(entry.lowest for row in mat for entry in row if not entry.is_zero)
-        assert order + (size - 1) * least <= got.order <= known
-        assert got.lowest < 0
-        assert series_to_dict(got) == {e: c for e, c in expected.items() if e < got.order}
+        assert got.order == order
+        assert series_to_dict(got) == leibniz_det(dicts, order)
+        cof = cofactors(mat)
+        for i in range(size):
+            minor = [row[:i] + row[i + 1:] for row in dicts[1:]]
+            expected = leibniz_det(minor, order) if minor else {0: 1}
+            assert series_to_dict(cof[i]) == {e: (-1) ** i * c for e, c in expected.items()}, i
+            assert cof[i].order == order
 
     @pytest.mark.parametrize(
         "min_lowest, order, magnitude, zero_share",
         [
             pytest.param(0, 12, 9, 0, id="0"),
-            pytest.param(-2, 12, 9, 0, id="-2"),
             (0, 1, 2**70, 0.3),
             (0, 40, 2**70, 0.3),
             (0, 25, 1, 0.5),
@@ -978,16 +956,11 @@ class TestDeterminant:
         for size in (1, 2, 4, 7):
             mat = rand_matrix(rng, size, order, 3, min_lowest, magnitude, zero_share)
             cof = cofactors(mat)
-            # Each product at the bound of its own equal-order factors,
-            # which is never above the one `det` reaches.
-            bound = min(c.order + min(0, entry.lowest, c.lowest) for entry, c in zip(mat[0], cof))
-            if min_lowest == 0:
-                assert bound == order
-            total = QSeries.zero(bound)
+            assert all(c.order == order for c in cof)
+            total = QSeries.zero(order)
             for entry, c in zip(mat[0], cof):
-                total = total + (entry.truncate(c.order) * c).truncate(bound)
-            assert det(mat).order >= bound
-            assert total == det(mat).truncate(bound)
+                total = total + entry * c
+            assert total == det(mat)
             if size > 1:
                 minor = [row[1:] for row in mat[1:]]
                 assert cof[0] == det(minor)
@@ -1017,9 +990,8 @@ class TestDeterminant:
 
     def test_one_expansion_per_matrix(self, monkeypatch):
         built = []
-        for name in ("_laplace", "_packed_laplace"):
-            real = getattr(qseries, name)
-            monkeypatch.setattr(qseries, name, lambda rows, _real=real, _name=name: built.append(_name) or _real(rows))
+        real = qseries._packed_laplace
+        monkeypatch.setattr(qseries, "_packed_laplace", lambda rows: built.append("_packed_laplace") or real(rows))
         qseries._cofactors.cache_clear()
         rng = random.Random(9)
         first, second = ([[rand_series(rng, 10) for _ in range(4)] for _ in range(4)] for _ in range(2))
@@ -1032,12 +1004,13 @@ class TestDeterminant:
         assert qseries._cofactors.cache_info().currsize == 1
         assert det(first) == d
         assert built == ["_packed_laplace"] * 3
-        # An entry of negative valuation sends the matrix through `_laplace`,
-        # also once for `det` and `cofactors` together.
-        third = [[rand_series(rng, 10, min_lowest=-2) for _ in range(4)] for _ in range(4)]
-        det(third)
-        cofactors(third)
-        assert built == ["_packed_laplace"] * 3 + ["_laplace"]
+        # A matrix with an entry of negative valuation is rejected unexpanded.
+        third = [list(row) for row in first]
+        third[2][1] = QSeries.monomial(1, -1, 10)
+        for fn in (det, cofactors):
+            with pytest.raises(ValueError):
+                fn(third)
+        assert built == ["_packed_laplace"] * 3
 
     def test_two_by_two_packs_nothing(self, monkeypatch):
         # The cofactors of a 2 x 2 matrix are its bottom entries themselves.
