@@ -1,10 +1,14 @@
 """Command-line surface: decompose, bseries, verify.
 
+Each integer flag's range is checked by its `type=` converter as the
+flag is parsed.  QSERIES_ORDER supplies the truncation order when
+--order is absent; it goes through the --order converter, and only when
+a run falls back to it.
+
 Exit codes: 0 success, 1 identity failure, 2 usage error, any other
 rejected input or a request too large to compute, 3 theta pipeline
-requested for an unsupported modulus without --conjecture.  The
-QSERIES_ORDER environment variable supplies a default truncation order
-(at least 1) when --order is absent.
+requested for an unsupported modulus without --conjecture (the library's
+`UnsupportedModulusError`).
 """
 
 import argparse
@@ -27,17 +31,29 @@ MASTER_DEFAULT_NS = (2, 3, 4, 5, 6, 7)
 TRIPLE_DEFAULT_ORDER = 200
 
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse `type=` converter: the text as an int of at least `low`."""
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return convert
+
+
 def _env_order() -> int | None:
     raw = os.environ.get("QSERIES_ORDER")
     if raw is None:
         return None
     try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"QSERIES_ORDER must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValueError(f"QSERIES_ORDER must be at least 1, got {value}")
-    return value
+        return _int_at_least(1)(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"QSERIES_ORDER {exc}") from None
 
 
 def _resolve_order(args, sources: tuple[str, ...], default: int) -> int:
@@ -60,10 +76,9 @@ _encode = json.JSONEncoder(check_circular=False).encode
 
 
 def _print_json_rows(head: dict, key: str, rows) -> None:
-    """Print `head` plus a `key` list as one indented JSON object, with
-    each row of the list, given as its compact JSON text, on its own line.
-    Each row is written as soon as it is given, so the whole body is never
-    held as one string."""
+    """Print `head` plus a `key` list as one indented JSON object, each row
+    of the list, given as its compact JSON text, on its own line and written
+    as soon as it is given, so the body is never held as one string."""
     write = sys.stdout.write
     write("{\n")
     for name, value in head.items():
@@ -138,14 +153,16 @@ METHODS = {"comb": ("comb",), "theta": ("theta",), "both": ("comb", "theta")}
 
 
 def _series_row(routes: tuple[str, ...], args, i: int, order: int) -> dict:
-    """Coefficients of component i along each route; a failed solve is
-    kept as `<route>_error` text, and `equal` is set when every route ran."""
-    data: dict[str, object] = {"i": i}
-    for route in routes:
+    """Coefficients of component i along each route, run last first so the
+    theta route refuses a modulus before the comb route builds its table.
+    A failed solve is kept as `<route>_error`; `equal` is set if all ran."""
+    found: dict[str, object] = {}
+    for route in reversed(routes):
         try:
-            data[route] = ROUTES[route](args, i, order).coefficient_list()
+            found[route] = ROUTES[route](args, i, order).coefficient_list()
         except NonUnitDeterminantError as exc:
-            data[f"{route}_error"] = str(exc)
+            found[f"{route}_error"] = str(exc)
+    data: dict[str, object] = {"i": i, **dict(reversed(found.items()))}
     if len(routes) > 1 and all(route in data for route in routes):
         data["equal"] = all(data[route] == data[routes[0]] for route in routes)
     return data
@@ -154,15 +171,7 @@ def _series_row(routes: tuple[str, ...], args, i: int, order: int) -> dict:
 def _cmd_bseries(args) -> int:
     order = _resolve_order(args, ("order",), 20)
     routes = METHODS[args.method]
-    if "theta" in routes:
-        _, proven = multiplicity.theta_branch(args.n)
-        if not proven and not args.conjecture:
-            print(
-                f"theta pipeline for n={args.n} is conjectural; rerun with --conjecture",
-                file=sys.stderr,
-            )
-            return EXIT_UNSUPPORTED
-    # The routes reject an out-of-range --i before any output is written.
+    # Every row is computed before any output, so a refused input prints nothing.
     components = [args.i] if args.i is not None else list(range(args.n // 2 + 1))
     rows = [_series_row(routes, args, i, order) for i in components]
     if args.format == "json":
@@ -240,12 +249,8 @@ def _cmd_verify(args) -> int:
                 "order": r.order,
                 "holds": r.holds,
                 "first_discrepancy": None
-                if r.first_discrepancy is None
-                else {
-                    "exponent": r.first_discrepancy[0],
-                    "lhs": r.first_discrepancy[1],
-                    "rhs": r.first_discrepancy[2],
-                },
+                if r.holds
+                else dict(zip(("exponent", "lhs", "rhs"), r.first_discrepancy)),
             }
             for r in reports
         ],
@@ -269,16 +274,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_dec = sub.add_parser("decompose", help="tabulate multiplicities with witness shapes")
-    p_dec.add_argument("--n", type=int, required=True, help="modulus, at least 2")
-    p_dec.add_argument("--max-k", type=int, default=6, dest="max_k")
+    p_dec.add_argument("--n", type=_int_at_least(2), required=True, help="modulus, at least 2")
+    p_dec.add_argument("--max-k", type=_int_at_least(0), default=6, dest="max_k")
     p_dec.add_argument("--format", choices=("json", "csv", "table"), default="table")
-    p_dec.add_argument("--witness-cap", type=int, default=None, dest="witness_cap")
+    p_dec.add_argument("--witness-cap", type=_int_at_least(0), default=None, dest="witness_cap")
     p_dec.set_defaults(func=_cmd_decompose)
 
     p_bs = sub.add_parser("bseries", help="print multiplicity generating functions")
-    p_bs.add_argument("--n", type=int, required=True)
+    p_bs.add_argument("--n", type=_int_at_least(2), required=True)
     p_bs.add_argument("--i", type=int, default=None, help="component index; default all")
-    p_bs.add_argument("--order", type=int, default=None)
+    p_bs.add_argument("--order", type=_int_at_least(1), default=None)
     p_bs.add_argument("--method", choices=tuple(METHODS), default="comb")
     p_bs.add_argument("--conjecture", action="store_true")
     p_bs.add_argument("--format", choices=("json", "csv", "table"), default="table")
@@ -286,31 +291,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run identity checks, JSON report")
     p_ver.add_argument("--identity", choices=(*IDENTITIES, "all"), default="all")
-    p_ver.add_argument("--order", type=int, default=None)
-    p_ver.add_argument("--master-order", type=int, default=None, dest="master_order")
-    p_ver.add_argument("--max-k", type=int, default=None, dest="max_k")
-    p_ver.add_argument("--n", type=int, default=None, help="modulus for the master check")
+    p_ver.add_argument("--order", type=_int_at_least(1), default=None)
+    p_ver.add_argument("--master-order", type=_int_at_least(1), default=None, dest="master_order")
+    p_ver.add_argument("--max-k", type=_int_at_least(0), default=None, dest="max_k")
+    p_ver.add_argument("--n", type=_int_at_least(2), default=None, help="modulus for the master check")
     p_ver.set_defaults(func=_cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if hasattr(args, "n") and args.n is not None and args.n < 2:
-        parser.error("--n must be at least 2")
-    if hasattr(args, "max_k") and args.max_k is not None and args.max_k < 0:
-        parser.error("--max-k must be nonnegative")
-    if getattr(args, "witness_cap", None) is not None and args.witness_cap < 0:
-        parser.error("--witness-cap must be nonnegative")
-    for flag in ("order", "master_order"):
-        if getattr(args, flag, None) is not None and getattr(args, flag) < 1:
-            parser.error(f"--{flag.replace('_', '-')} must be at least 1")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UnsupportedModulusError as exc:
-        print(str(exc), file=sys.stderr)
+    except UnsupportedModulusError:
+        print(f"theta pipeline for n={args.n} is conjectural; rerun with --conjecture", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

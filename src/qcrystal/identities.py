@@ -36,16 +36,11 @@ __all__ = [
 class IdentityReport:
     name: str
     order: int
-    holds: bool
     first_discrepancy: tuple[int, int, int] | None = None
 
-    def __post_init__(self):
-        if self.holds != (self.first_discrepancy is None):
-            raise ValueError("holds must mirror the absence of a discrepancy")
-
-
-def _report(name: str, order: int, diff: tuple[int, int, int] | None) -> IdentityReport:
-    return IdentityReport(name, order, diff is None, diff)
+    @property
+    def holds(self) -> bool:
+        return self.first_discrepancy is None
 
 
 def distinct_odd_sum_form(i: int, order: int) -> QSeries:
@@ -109,15 +104,15 @@ def check_lemma_5_1(order: int) -> IdentityReport:
     for i, numer in ((0, f53), (1, f17)):
         diff = qs.first_difference(distinct_odd_sum_form(i, order) * disc, phi * numer)
         if diff is not None:
-            return _report(f"lemma5.1[i={i}]", order, diff)
-    return _report("lemma5.1", order, None)
+            return IdentityReport(f"lemma5.1[i={i}]", order, diff)
+    return IdentityReport("lemma5.1", order, None)
 
 
 def check_lemma_5_2(order: int) -> IdentityReport:
     """Theta-square difference factors as the product of two Euler products."""
     _, _, _, disc = _two_core_pieces(order)
     rhs = qs.euler_phi(order) * qs.euler_phi(order, stride=2)
-    return _report("lemma5.2", order, qs.first_difference(disc, rhs))
+    return IdentityReport("lemma5.2", order, qs.first_difference(disc, rhs))
 
 
 def check_lemma_5_3(order: int) -> IdentityReport:
@@ -134,8 +129,8 @@ def check_lemma_5_3(order: int) -> IdentityReport:
         rhs = (rhs_a - rhs_b.shift(power).truncate(order)) * phi_inv
         diff = qs.first_difference(lhs, rhs)
         if diff is not None:
-            return _report(f"lemma5.3[{idx}]", order, diff)
-    return _report("lemma5.3", order, None)
+            return IdentityReport(f"lemma5.3[{idx}]", order, diff)
+    return IdentityReport("lemma5.3", order, None)
 
 
 def check_lemma_5_4(order: int) -> IdentityReport:
@@ -145,12 +140,12 @@ def check_lemma_5_4(order: int) -> IdentityReport:
     full_det = qs.det(coefficient_matrix(3, order))
     diff = qs.first_difference(full_det, phi_sq)
     if diff is not None:
-        return _report("lemma5.4[det]", order, diff)
+        return IdentityReport("lemma5.4[det]", order, diff)
 
     vanishing = qs.theta_g(0, 15, order)
     if not vanishing.is_zero:
         e = vanishing.lowest
-        return _report("lemma5.4[zero-term]", order, (e, vanishing.coeff(e), 0))
+        return IdentityReport("lemma5.4[zero-term]", order, (e, vanishing.coeff(e), 0))
 
     def shifted(series: QSeries, by: int) -> QSeries:
         return series.shift(by).truncate(order)
@@ -164,8 +159,8 @@ def check_lemma_5_4(order: int) -> IdentityReport:
     )
     diff = qs.first_difference(expansion, phi_sq)
     if diff is not None:
-        return _report("lemma5.4[cosets]", order, diff)
-    return _report("lemma5.4", order, None)
+        return IdentityReport("lemma5.4[cosets]", order, diff)
+    return IdentityReport("lemma5.4", order, None)
 
 
 # Part classes mod 15 left out of the four restricted series c+, c-, d+, d-.
@@ -205,16 +200,16 @@ def check_theorem_5_1(max_k: int) -> IdentityReport:
     quadruples = [_quadruple(k, counts) for k in range(max_k + 1)]
     for k, (a, _, c, _) in enumerate(quadruples):
         if a != c:
-            return _report(f"theorem5.1[a=c,k={k}]", max_k, (k, a, c))
+            return IdentityReport(f"theorem5.1[a=c,k={k}]", max_k, (k, a, c))
     for k, (_, b, _, d) in enumerate(quadruples[1:], start=1):
         if b != d:
-            return _report(f"theorem5.1[b=d,k={k}]", max_k, (k, b, d))
-    return _report("theorem5.1", max_k, None)
+            return IdentityReport(f"theorem5.1[b=d,k={k}]", max_k, (k, b, d))
+    return IdentityReport("theorem5.1", max_k, None)
 
 
 def check_master(n: int, order: int) -> IdentityReport:
     """Product identity for one modulus, generating functions from `gf_comb`."""
-    return _report(f"master[n={n}]", order, master_discrepancy(n, order))
+    return IdentityReport(f"master[n={n}]", order, master_discrepancy(n, order))
 
 
 TRIPLE_MAX_RS = 10
@@ -241,10 +236,10 @@ def check_triple_product(order: int) -> IdentityReport:
                 ):
                     diff = qs.first_difference(sum_form, product_form)
                     if diff is not None:
-                        return _report(f"triple-product[r={a},s={b}]", order, diff)
+                        return IdentityReport(f"triple-product[r={a},s={b}]", order, diff)
     diff = qs.first_difference(
         qs.theta_g(1, 2, TRIPLE_EULER_ORDER), qs.euler_phi(TRIPLE_EULER_ORDER)
     )
     if diff is not None:
-        return _report("triple-product[pentagonal]", TRIPLE_EULER_ORDER, diff)
-    return _report("triple-product", order, None)
+        return IdentityReport("triple-product[pentagonal]", TRIPLE_EULER_ORDER, diff)
+    return IdentityReport("triple-product", order, None)

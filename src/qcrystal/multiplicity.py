@@ -55,7 +55,11 @@ class NonUnitDeterminantError(ValueError):
 class TableEntry:
     count: int
     witnesses: tuple[Partition, ...]
-    omitted: int = 0
+
+    @property
+    def omitted(self) -> int:
+        """Witnesses left out by the table's cap."""
+        return self.count - len(self.witnesses)
 
 
 @dataclass
@@ -103,10 +107,7 @@ def multiplicity_table(n: int, max_k: int, witness_cap: int | None = None) -> Mu
                 witnesses = targets[zeros] = found.get(classify_maximal(p, n))
             if witnesses is not None:
                 witnesses.append(p)
-    entries = {}
-    for key, witnesses in found.items():
-        kept = witnesses if witness_cap is None else witnesses[:witness_cap]
-        entries[key] = TableEntry(len(witnesses), tuple(kept), len(witnesses) - len(kept))
+    entries = {key: TableEntry(len(w), tuple(w[:witness_cap])) for key, w in found.items()}
     return MultiplicityTable(n, max_k, entries)
 
 

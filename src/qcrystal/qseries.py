@@ -142,19 +142,6 @@ class QSeries:
         """Dense coefficients for exponents 0..order-1."""
         return [0] * (self.order - len(self.coeffs)) + list(self.coeffs[max(0, -self.lowest) :])
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return f"0 + O(q^{self.order})"
-        terms = []
-        for idx, c in enumerate(self.coeffs):
-            if c == 0 or len(terms) >= 8:
-                continue
-            e = self.lowest + idx
-            term = str(c) if e == 0 else (f"{c}*q^{e}" if e != 1 else f"{c}*q")
-            terms.append(term)
-        body = " + ".join(terms).replace("+ -", "- ")
-        return f"{body} + ... + O(q^{self.order})"
-
     def _check_order(self, other: "QSeries") -> None:
         if self.order != other.order:
             raise OrderMismatchError(f"orders differ: {self.order} != {other.order}")

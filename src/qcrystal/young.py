@@ -8,7 +8,6 @@ decrease down a column.
 
 import gc
 from dataclasses import dataclass
-from math import isqrt
 from operator import index
 
 __all__ = [
@@ -230,14 +229,10 @@ def _shape_bucket(n: int, boxes: int) -> _Bucket:
         raise ValueError("box count must be nonnegative")
     held, table = _shape_cache
     if held != n or len(table) <= boxes:
-        # Shape counts grow like exp(c * sqrt(boxes)), so doubling the box
-        # count would multiply the table many times over (about 100x from
-        # 80 to 160 boxes for n = 2); a step of sqrt(boxes) boxes grows it
-        # by under 2x for n = 2, 3, 5 up to 200 boxes.
-        built = len(table) - 1 if held == n else -1
-        # Drop the old table first, so two are never held at once.
+        # Built at exactly the size asked: `multiplicity_table` asks largest
+        # first.  Drop the old table first, so two are never held at once.
         table, _shape_cache = (), (0, ())
-        _shape_cache = (n, _shape_table(n, max(boxes, built + isqrt(built + 1))))
+        _shape_cache = (n, _shape_table(n, boxes))
     return _shape_cache[1][boxes]
 
 

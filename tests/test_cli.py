@@ -116,6 +116,7 @@ class TestBseries:
         assert lines[-2:] == ["  ]", "}"] and lines[5] == '  "series": ['
         rows = [json.loads(line.strip().rstrip(",")) for line in lines[6:-2]]
         assert rows == json.loads(text)["series"] and [r["i"] for r in rows] == [0, 1, 2]
+        assert all(list(r) == ["i", "comb", "theta", "equal"] for r in rows)
 
     def test_order_one(self):
         result = run_cli("bseries", "--n", "2", "--i", "0", "--order", "1")
@@ -126,6 +127,43 @@ class TestBseries:
         result = run_cli("bseries", "--n", "9", "--order", "10", "--method", "theta")
         assert result.returncode == 3
         assert "conjectur" in result.stderr
+
+    @pytest.mark.parametrize("method", ["theta", "both"])
+    def test_unproven_modulus_exits_3_with_one_line(self, method):
+        result = run_cli("bseries", "--n", "9", "--order", "10", "--method", method)
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr == "theta pipeline for n=9 is conjectural; rerun with --conjecture\n"
+
+    def test_exit_3_comes_from_the_library_error(self, monkeypatch, capsys):
+        # The CLI makes no modulus check of its own: whatever the theta
+        # route raises as UnsupportedModulusError is exit 3.
+        def unsupported(i, n, order, conjecture=False):
+            raise multiplicity.UnsupportedModulusError(f"matrix construction for n={n} is conjectural")
+
+        monkeypatch.setattr(multiplicity, "gf_theta", unsupported)
+        assert cli.main(["bseries", "--n", "5", "--order", "4", "--method", "both"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "theta pipeline for n=5 is conjectural; rerun with --conjecture\n"
+
+    def test_theta_refuses_the_modulus_before_the_comb_route_runs(self, monkeypatch, capsys):
+        # At a large order the comb table alone could exhaust memory, so the
+        # refusal must come first.
+        def comb_must_not_run(i, n, order):
+            raise AssertionError("comb route ran before the theta route refused the modulus")
+
+        monkeypatch.setattr(multiplicity, "gf_comb", comb_must_not_run)
+        assert cli.main(["bseries", "--n", "9", "--order", "3000", "--method", "both"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "theta pipeline for n=9 is conjectural; rerun with --conjecture\n"
+
+    def test_component_out_of_range_is_checked_before_the_modulus(self, capsys):
+        assert cli.main(["bseries", "--n", "9", "--i", "5", "--method", "theta"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: component index 5 out of range for n=9"]
 
     def test_conjecture_report(self):
         result = run_cli(
@@ -227,6 +265,56 @@ class TestBseries:
         assert len(result.stderr.splitlines()) == 1 and result.stderr.startswith("error: ")
 
 
+# Every ranged integer flag, with its least accepted value.
+FLAG_RANGES = [
+    ("decompose", "--n", 2),
+    ("decompose", "--max-k", 0),
+    ("decompose", "--witness-cap", 0),
+    ("bseries", "--n", 2),
+    ("bseries", "--order", 1),
+    ("verify", "--order", 1),
+    ("verify", "--master-order", 1),
+    ("verify", "--max-k", 0),
+    ("verify", "--n", 2),
+]
+
+
+class TestFlagRanges:
+    @pytest.mark.parametrize("command, flag, low", FLAG_RANGES)
+    @pytest.mark.parametrize(
+        "value, message",
+        [("{below}", "must be at least {low}, got {below}"), ("1.5", "must be an integer, got '1.5'")],
+    )
+    def test_bad_value_is_a_usage_error(self, command, flag, low, value, message, capsys):
+        bounds = {"low": low, "below": low - 1}
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, flag, value.format(**bounds)])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == f"qcrystal {command}: error: argument {flag}: " + message.format(**bounds)
+
+    @pytest.mark.parametrize("command, flag, low", FLAG_RANGES)
+    def test_least_value_parses(self, command, flag, low):
+        required = ["--n", "3"] if command != "verify" and flag != "--n" else []
+        args = cli.build_parser().parse_args([command, *required, flag, str(low)])
+        assert getattr(args, flag[2:].replace("-", "_")) == low
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bseries", "--n", "3", "--order", "0"], "argument --order: must be at least 1, got 0"),
+            (["verify", "--master-order", "0"], "argument --master-order: must be at least 1, got 0"),
+            (["bseries", "--n", "x"], "argument --n: must be an integer, got 'x'"),
+        ],
+    )
+    def test_bad_value_exits_2_naming_its_flag(self, argv, message):
+        result = run_cli(*argv)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert message in result.stderr and "Traceback" not in result.stderr
+
+
 class TestVerify:
     @pytest.mark.parametrize("master_order", [198, 199, 200])
     def test_catalog_builds_each_chain_table_once(self, master_order, monkeypatch, capsys):
@@ -317,7 +405,7 @@ class TestVerify:
 
     def test_failure_exits_1(self, monkeypatch, capsys):
         def fake_check(order):
-            return identities.IdentityReport("lemma5.2", order, False, (1, 0, 1))
+            return identities.IdentityReport("lemma5.2", order, (1, 0, 1))
 
         monkeypatch.setattr(identities, "check_lemma_5_2", fake_check)
         code = cli.main(["verify", "--identity", "lemma5.2", "--order", "5"])
@@ -390,7 +478,7 @@ def echoing_checks(monkeypatch):
     """Replace every check with a fake that reports the order it was given."""
 
     def echo(name):
-        return lambda order: identities.IdentityReport(name, order, True)
+        return lambda order: identities.IdentityReport(name, order, None)
 
     for attr, name in (
         ("check_lemma_5_1", "lemma5.1"),
@@ -404,7 +492,7 @@ def echoing_checks(monkeypatch):
     monkeypatch.setattr(
         identities,
         "check_master",
-        lambda n, order: identities.IdentityReport(f"master[n={n}]", order, True),
+        lambda n, order: identities.IdentityReport(f"master[n={n}]", order, None),
     )
 
 
@@ -536,11 +624,83 @@ DECOMPOSE_JSON_DIGESTS = {
 }
 
 
-def decompose_json_cases():
-    for (n, max_k), digests in DECOMPOSE_JSON_DIGESTS.items():
-        for cap, digest in zip((None, 0, 1, 2), digests):
-            capped = "" if cap is None else f" --witness-cap {cap}"
-            yield f"decompose --n {n} --max-k {max_k}{capped} --format json", digest
+# The same runs as CSV and as a table, whose capped cells end in `+N more`.
+DECOMPOSE_CSV_DIGESTS = {
+    (2, 40): (
+        "161fbd9905c967a89016e756c6652ba24c753d07050f3d618ef357c73f28b254",
+        "80a42ca91f74e0a7fc21d4eaadc8dd7dd24001b028fbdaa4f802f7521b42c900",
+        "58ef9d12f5d2fc73fe91932c8ea80409d9b86d169f10449d34196d100ec59f1b",
+        "4a002ab9ea5574492f315cfa22c2e6822ecd85717ea233644b0cd517f066c539",
+    ),
+    (3, 25): (
+        "7ea35f79242edeefd5f7dd179e23b8b8df22324a02c9461a299b667268511187",
+        "4f95c490a573dc01f330306e0f33ff5db34bc4ea2bd26ffd451f3bfb6d0fb8e3",
+        "0b6082b9e053f46c56bfd4124c9bd92802823e0381de0fc86da9b412699dca58",
+        "35248d5e30ed98791be4fbc6bf09bc1b662d44ac516e242e7de0111ffb6a4e51",
+    ),
+    (5, 12): (
+        "658d09e126ed6c3f8cca038bf1ebd131bbaed81f2c3ae86b93e1b70817266a8a",
+        "b81b319b900cd035c34f0ae32c4c1b92c665b4ef44e0eab0656e92627952a1b1",
+        "edaf10ad212c4c955d3fc1df0fd532f810bb6a6079bb301b14e9db0b5c1211c3",
+        "5008365229e48376489b04f3ac89834a3cbd6f964d443f6148a7aab13b7d576a",
+    ),
+    (4, 14): (
+        "06afc66cd056d1de616c721eb16a3436535096367c12bb08283060f5d290f31a",
+        "e3b03bfafd8968b588437cb5a8a37d29550bd418183e3f74b2e3c58194c70424",
+        "891ffd9726d0f9e1d58abfb6ce8d6bfa5d1e6dcd5e28dc48081136e2bfd345dd",
+        "7dfaa9521b8598ffa7264e21467686080926d55d69a36edfe55325f2f6caf378",
+    ),
+    (8, 9): (
+        "427df20df98c923cfda26d48e365aa07140a33658379d3ec6301bdefb24b37a3",
+        "1e1fa394404c05489ff78ab382f8d1d62908872bf6cc235017cb788d4ff37ace",
+        "094e74bae1990b595f6d7ea472cb0f956ff3313b888955018794ebf064de20c4",
+        "82cadd0e688606106d1730919a995d49fe50624f19fae9806371e8621708a384",
+    ),
+}
+DECOMPOSE_TABLE_DIGESTS = {
+    (2, 40): (
+        "8aec7e4339d73ca7fa3f9af3642069ee7d3459d56e0b19ac8fef0e381d725010",
+        "32a6eef8e8f033cf6ad17165f293357a93ac1dca38be49da767889c59c1e3dc6",
+        "55fc0963e3014438f23cfbacd3bf9414d769a4b517a30563036ef31d8982c35a",
+        "d533dcca192be4d5b66ca12aba96cfd5057e8e9b0a3f42ea0f1e6cfb39c755e0",
+    ),
+    (3, 25): (
+        "3d78c4c1f65e28797f77f0d18372357ce9f9ee11a8872b9f1e39e47a8fd04a0a",
+        "568a325c0aeb9555bf3dc9bca098360c3334745f699ce91caee5cef765c42430",
+        "4fbeda5a6a4f3083ff6357e7e1334ce75cdfc9aa2bcfb526b24c6e588fff4442",
+        "b0fb9bfbf38a02103935467d15c70547e555d638ebcb4eb4979b4566ceaab756",
+    ),
+    (5, 12): (
+        "bb500d13043a2e02109f402fe9965b33aff7258b0492dbc8176bca9d22c6965c",
+        "0a2a53901a2b76ddf0677ade5d35c2305c3991c2760119d19d4e273ecf96618b",
+        "f8e3a2e96ac47aa8813d716ef60fb84a38b3f218416231398bba03f7e176b4d7",
+        "316fa8cbdbf4f6fcec5719ac356d58b4595299e33e26c41318e36edc2062ac20",
+    ),
+    (4, 14): (
+        "abe14e88b4c90f0fb74d166bcc9b8090de811a4dc3648bb730e27b5423de78c5",
+        "a280cd7aab8a5f7e55febe61e5762b2b8d3566408feef763905b58c4b5ff12bf",
+        "a08bbdaa5d9257cb0c944c1d96b57840dd1591c9803df8d5e27e90b8cf3ba27b",
+        "f412ef2529d51bddfdc426e3d21879c1335c09bb6672158dc37d43b1a3bb8028",
+    ),
+    (8, 9): (
+        "2e78186ab130918dffa1b7db51b922ab7f05341a26ca2afc0b92b7542417c01c",
+        "3c0b44faec6da1334a8ef662141fbc6d2a1baabed883c5730c766de54378c46c",
+        "822a099bb61a49c09c10ad1878ae9e65d6696a720e38d0760666de1e250ed20b",
+        "349cbfa4472016b0e36254b9126d0d588360e3f645501ce5fc4fff81befca509",
+    ),
+}
+
+
+def decompose_cases():
+    for fmt, digests_by_size in (
+        ("json", DECOMPOSE_JSON_DIGESTS),
+        ("csv", DECOMPOSE_CSV_DIGESTS),
+        ("table", DECOMPOSE_TABLE_DIGESTS),
+    ):
+        for (n, max_k), digests in digests_by_size.items():
+            for cap, digest in zip((None, 0, 1, 2), digests):
+                capped = "" if cap is None else f" --witness-cap {cap}"
+                yield f"decompose --n {n} --max-k {max_k}{capped} --format {fmt}", digest
 
 
 class TestJsonBytes:
@@ -559,7 +719,7 @@ class TestJsonBytes:
                 "decompose --n 2 --max-k 20 --format json",
                 "9d58f80978f5bdee4d25d85bc6dd4f7ebfd86c12d32f31d9438b6a77ec000c02",
             ),
-            *decompose_json_cases(),
+            *decompose_cases(),
             (
                 "bseries --n 5 --method both --order 40 --format json",
                 "9606ec60e2d7c5ecf1f66212bf4f6ed7382d81cf88f95636fb218842190b6042",

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from qcrystal import identities, multiplicity, qseries
@@ -24,11 +26,12 @@ from helpers import (
 
 
 class TestReport:
-    def test_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            IdentityReport("x", 10, True, (1, 2, 3))
-        with pytest.raises(ValueError):
-            IdentityReport("x", 10, False, None)
+    def test_holds_follows_the_first_discrepancy(self):
+        # `holds` is read off the discrepancy, so the two cannot disagree.
+        assert [f.name for f in dataclasses.fields(IdentityReport)] == ["name", "order", "first_discrepancy"]
+        assert IdentityReport("x", 10).holds and IdentityReport("x", 10, None).holds
+        assert not IdentityReport("x", 10, (1, 2, 3)).holds
+        assert not IdentityReport("x", 10, (0, 0, 0)).holds
 
 
 class TestSumForms:

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from unittest import mock
 
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from qcrystal import crystal, multiplicity, qseries as qs, weightlat, young
 from qcrystal.multiplicity import (
     NonUnitDeterminantError,
+    TableEntry,
     UnsupportedModulusError,
     coefficient_matrix,
     count_by_component,
@@ -105,6 +107,13 @@ class TestTable:
         assert entry.count == 7
         assert len(entry.witnesses) == 2
         assert entry.omitted == 5
+
+    def test_omitted_is_read_off_the_count(self):
+        # An entry stores its count and kept witnesses; `omitted` is their
+        # difference, so it cannot disagree with them.
+        assert [f.name for f in dataclasses.fields(TableEntry)] == ["count", "witnesses"]
+        assert TableEntry(7, (EMPTY, EMPTY)).omitted == 5
+        assert TableEntry(0, ()).omitted == 0
 
     def test_rejects_negative_witness_cap(self):
         with pytest.raises(ValueError):

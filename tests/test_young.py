@@ -205,8 +205,8 @@ class TestEnumeration:
     @pytest.mark.parametrize("earlier", ["cold", "larger", "smaller"])
     def test_matches_per_box_count_search(self, earlier):
         # Cold builds each box count's table on its own; a larger earlier
-        # request serves every count from one table; a smaller one makes
-        # the ascending requests regrow it.
+        # request serves every count from one table; after a smaller one,
+        # each ascending request rebuilds the table at its own size.
         for n in range(2, 9):
             young._shape_cache = (0, ())
             if earlier == "larger":
@@ -222,7 +222,7 @@ class TestEnumeration:
     @pytest.mark.parametrize("earlier", ["cold", "larger", "smaller"])
     def test_carried_color_counts_match_cell_counts(self, earlier):
         # Same three paths as above: the color-0 counts carried through the
-        # search must survive regrowth as well as a cold or oversized build.
+        # search must survive a rebuild as well as a cold or oversized build.
         def check(n, boxes):
             shapes = enumerate_maximal_shapes(n, boxes)
             expected = [color_counts(p, n)[0] for p in shapes]
@@ -239,7 +239,7 @@ class TestEnumeration:
                     young._shape_cache = (0, ())
                 check(n, boxes)
         # Deeper tables, on both sides of 64 and 128 boxes: ascending
-        # requests regrow the table at 64 (from 63) and at 128 (from 127).
+        # requests rebuild the table at 64 (after 63) and at 128 (after 127).
         for n in (2, 3, 4):
             young._shape_cache = (0, ())
             if earlier == "larger":
@@ -308,11 +308,11 @@ class TestEnumeration:
             enumerate_maximal_shapes(n, 10)
         held, table = young._shape_cache
         assert held == 19 and len(table) == 11
-        # Regrowth steps by about sqrt(boxes), not to twice the table.
+        # A larger request rebuilds the table at exactly its own size.
         enumerate_maximal_shapes(2, 40)
         enumerate_maximal_shapes(2, 41)
         held, table = young._shape_cache
-        assert held == 2 and 41 <= len(table) - 1 < 60
+        assert held == 2 and len(table) - 1 == 41
 
     def test_old_table_is_dropped_before_the_next_is_built(self, monkeypatch):
         real = young._shape_table
