@@ -118,7 +118,7 @@ def _decompose_rows(table):
     text is made once per call rather than encoded per shape."""
     text = _PairText().__getitem__
     join = ", ".join
-    for (i, k), entry in table.rows():
+    for (i, k), entry in table.items():
         witnesses = join(["[" + join(map(text, w.pairs)) + "]" for w in entry.witnesses])
         omitted = f', "witnesses_omitted": {entry.omitted}' if entry.omitted else ""
         yield f'{{"i": {i}, "k": {k}, "b": {entry.count}, "witnesses": [{witnesses}]{omitted}}}'
@@ -127,15 +127,15 @@ def _decompose_rows(table):
 def _cmd_decompose(args) -> int:
     table = multiplicity.multiplicity_table(args.n, args.max_k, args.witness_cap)
     if args.format == "json":
-        _print_json_rows({"n": table.n, "max_k": table.max_k}, "entries", _decompose_rows(table))
+        _print_json_rows({"n": args.n, "max_k": args.max_k}, "entries", _decompose_rows(table))
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["i", "k", "b", "witnesses"])
-        for (i, k), entry in table.rows():
+        for (i, k), entry in table.items():
             writer.writerow([i, k, entry.count, _witness_cell(entry, " ")])
     else:
-        print(f"multiplicities for n={table.n}, k up to {table.max_k}")
-        for (i, k), entry in table.rows():
+        print(f"multiplicities for n={args.n}, k up to {args.max_k}")
+        for (i, k), entry in table.items():
             print(f"  i={i} k={k} b={entry.count:<4d} {_witness_cell(entry, ', ')}")
     return EXIT_OK
 

@@ -23,7 +23,6 @@ from .young import Partition, enumerate_maximal_shapes, maximal_shape_zero_count
 
 __all__ = [
     "TableEntry",
-    "MultiplicityTable",
     "UnsupportedModulusError",
     "NonUnitDeterminantError",
     "theta_branch",
@@ -62,22 +61,11 @@ class TableEntry:
         return self.count - len(self.witnesses)
 
 
-@dataclass
-class MultiplicityTable:
-    """Map (i, k) -> multiplicity with witness shapes; treat as immutable."""
-
-    n: int
-    max_k: int
-    entries: dict[tuple[int, int], TableEntry]
-
-    def rows(self):
-        """Entries ordered by (i, k)."""
-        for key in sorted(self.entries):
-            yield key, self.entries[key]
-
-
-def multiplicity_table(n: int, max_k: int, witness_cap: int | None = None) -> MultiplicityTable:
-    """Enumerate and classify every chain shape with k up to max_k.
+def multiplicity_table(
+    n: int, max_k: int, witness_cap: int | None = None
+) -> dict[tuple[int, int], TableEntry]:
+    """Enumerate and classify every chain shape with k up to max_k, as a
+    map (i, k) -> multiplicity with witness shapes, built in (i, k) order.
 
     Each needed box count is enumerated once.  A shape's label (i, k) has
     k equal to its number of color-0 cells, since `weight_of` sets
@@ -92,9 +80,7 @@ def multiplicity_table(n: int, max_k: int, witness_cap: int | None = None) -> Mu
         raise ValueError("need n >= 2 and max_k >= 0")
     if witness_cap is not None and witness_cap < 0:
         raise ValueError("witness_cap must be nonnegative")
-    found: dict[tuple[int, int], list[Partition]] = {
-        (i, k): [] for i in range(n // 2 + 1) for k in range(i, max_k + 1)
-    }
+    found = {(i, k): [] for i in range(n // 2 + 1) for k in range(i, max_k + 1)}
     # Largest first, so the shape table is built once at its full size.
     for boxes in sorted({i * i + (k - i) * n for i, k in found}, reverse=True):
         shapes = enumerate_maximal_shapes(n, boxes)
@@ -107,8 +93,7 @@ def multiplicity_table(n: int, max_k: int, witness_cap: int | None = None) -> Mu
                 witnesses = targets[zeros] = found.get(classify_maximal(p, n))
             if witnesses is not None:
                 witnesses.append(p)
-    entries = {key: TableEntry(len(w), tuple(w[:witness_cap])) for key, w in found.items()}
-    return MultiplicityTable(n, max_k, entries)
+    return {key: TableEntry(len(w), tuple(w[:witness_cap])) for key, w in found.items()}
 
 
 def _slot_width(boxes: int) -> int:
@@ -313,20 +298,15 @@ def _entry_terms(j: int, i: int, n: int):
         yield t, (-1 if t % 2 else 1), t * (t - 1) // 2 + ((t + i) ** 2) // n
 
 
-def coefficient_matrix(
-    n: int, order: int, conjecture: bool = False
-) -> tuple[tuple[QSeries, ...], ...]:
-    """Assemble the linear system's coefficient matrix at the given order,
-    as a tuple of rows.
+def coefficient_matrix(n: int, order: int) -> tuple[tuple[QSeries, ...], ...]:
+    """The linear system's coefficient matrix at the given order, as a tuple
+    of rows, for any n >= 2; the solve asks whether it is proven for n.
 
     Row j collects the blocks whose exponents lie in the class of j^2;
     every assembled entry must come out with nonnegative valuation.
     """
-    _, proven = theta_branch(n)
-    if not proven and not conjecture:
-        raise UnsupportedModulusError(
-            f"matrix construction for n={n} is conjectural; pass conjecture=True to build it"
-        )
+    if n < 2:
+        raise ValueError("modulus n must be at least 2")
     size = n // 2 + 1
     rows = []
     for j in range(size):
@@ -367,11 +347,16 @@ def _theta_solve(n: int, order: int, conjecture: bool) -> tuple[QSeries, ...]:
     times phi(q^2) for even n; `QSeries.invert` picks its own method for
     it.  A row entry below its row's power of q, or a rescaled determinant
     without constant term +-1, raises `NonUnitDeterminantError`; no n in
-    2..41, conjectured moduli included, does.
+    2..41, conjectured moduli included, does.  Without `conjecture`, a modulus
+    outside the proven branches raises `UnsupportedModulusError` first.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    matrix = coefficient_matrix(n, order + (n // 2) ** 2 // n, conjecture)
+    if not (conjecture or theta_branch(n)[1]):
+        raise UnsupportedModulusError(
+            f"matrix construction for n={n} is conjectural; pass conjecture=True to build it"
+        )
+    matrix = coefficient_matrix(n, order + (n // 2) ** 2 // n)
     rescaled = []
     for j, row in enumerate(matrix):
         power = j * j // n

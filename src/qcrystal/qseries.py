@@ -177,8 +177,6 @@ class QSeries:
         return QSeries(self.lowest, tuple(map(neg, self.coeffs)), self.order)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scaled(other)
         if not isinstance(other, QSeries):
             return NotImplemented
         self._check_order(other)
@@ -191,11 +189,6 @@ class QSeries:
             return QSeries.zero(bound)
         return QSeries._new(lo, _product(self.coeffs[:width], other.coeffs[:width], width), bound)
 
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scaled(other)
-        return NotImplemented
-
     def __pow__(self, k: int) -> "QSeries":
         if k < 0:
             raise ValueError("negative powers are not supported; invert first")
@@ -203,13 +196,6 @@ class QSeries:
         for _ in range(k):
             result = result * self
         return result
-
-    def scaled(self, c: int) -> "QSeries":
-        if c == 0:
-            return QSeries.zero(self.order)
-        if self.is_zero:
-            return self
-        return QSeries(self.lowest, tuple(c * a for a in self.coeffs), self.order)
 
     def shift(self, m: int) -> "QSeries":
         """Multiply by q^m; exact, the truncation bound moves with it."""
@@ -451,9 +437,9 @@ def _fold_depth(size: int, progressions: int, step: int) -> int:
 
 
 def _binomial_product_inplace(window: list[int], starts, step: int, sign: int, power: int = 1) -> None:
-    """Multiply a dense window (lowest 0) by prod (1 + sign q^e)^power,
-    sign and power +-1, over e = start + j * step for each start >= 1,
-    or start 0 with power 1.
+    """Multiply a dense window (lowest 0) by prod (1 + sign q^e)^power over
+    e = start + j * step for each start >= 1, or start 0 with power 1.
+    Power 1 takes either sign; power -1 only sign -1, dividing by (1 - q^e).
 
     With N the window length and a = ceil(N / (M + 1)), factors with e < a
     go in one at a time.  Any M + 1 factors with e >= a multiply past q^N,
@@ -472,11 +458,10 @@ def _binomial_product_inplace(window: list[int], starts, step: int, sign: int, p
     firsts = []
     for e in starts:
         while e < a:
-            # times (1 + sign q^e); 1 / (1 + q^e) is (1 - q^e) / (1 - q^2e)
-            if power > 0 or sign > 0:
-                window[e:] = map(add if power + sign > 0 else sub, window[e:], window[: size - e])
-            if power < 0:
-                _div_binomial_inplace(window, e if sign < 0 else 2 * e)
+            if power > 0:
+                window[e:] = map(add if sign > 0 else sub, window[e:], window[: size - e])
+            else:
+                _div_binomial_inplace(window, e)
             e += step
         firsts.append(e)
     nearest = min(firsts, default=size)

@@ -41,9 +41,7 @@ class TestDecompose:
             )
             for entry in payload["entries"]
         }
-        assert rebuilt == {
-            key: (e.count, e.witnesses) for key, e in table.entries.items()
-        }
+        assert rebuilt == {key: (e.count, e.witnesses) for key, e in table.items()}
 
     def test_minimal_json_payload(self):
         result = run_cli("decompose", "--n", "2", "--max-k", "0", "--format", "json")
@@ -833,7 +831,7 @@ class TestStreamedJsonRows:
                     **({"witnesses_omitted": entry.omitted} if entry.omitted else {}),
                 }
             )
-            for (i, k), entry in table.rows()
+            for (i, k), entry in sorted(table.items())
         ]
         assert list(cli._decompose_rows(table)) == expected
 

@@ -88,22 +88,22 @@ class TestTable:
     def test_reproduces_known_table(self):
         table = multiplicity_table(3, 7)
         for k, (b, wits) in TABLE_N3_I0.items():
-            entry = table.entries[(0, k)]
+            entry = table[(0, k)]
             assert entry.count == b
             assert sorted(str(w) for w in entry.witnesses) == sorted(wits)
         for k, (b, wits) in TABLE_N3_I1.items():
-            entry = table.entries[(1, k)]
+            entry = table[(1, k)]
             assert entry.count == b
             assert sorted(str(w) for w in entry.witnesses) == sorted(wits)
 
     def test_trivial_table(self):
         table = multiplicity_table(2, 0)
-        assert table.entries[(0, 0)].count == 1
-        assert table.entries[(0, 0)].witnesses == (EMPTY,)
+        assert table[(0, 0)].count == 1
+        assert table[(0, 0)].witnesses == (EMPTY,)
 
     def test_witness_cap(self):
         table = multiplicity_table(3, 6, witness_cap=2)
-        entry = table.entries[(0, 6)]
+        entry = table[(0, 6)]
         assert entry.count == 7
         assert len(entry.witnesses) == 2
         assert entry.omitted == 5
@@ -127,7 +127,7 @@ class TestTable:
         table = multiplicity_table(n, max_k, witness_cap)
         got = {
             key: (e.count, tuple(w.pairs for w in e.witnesses), e.omitted)
-            for key, e in table.entries.items()
+            for key, e in table.items()
         }
         assert got == multiplicity_table_by_filter(n, max_k, witness_cap)
 
@@ -145,19 +145,27 @@ class TestTable:
         for n, max_k in ((2, 40), (4, 12), (8, 9)):
             calls.clear()
             table = multiplicity_table(n, max_k)
-            box_counts = {i * i + (k - i) * n for i, k in table.entries}
+            box_counts = {i * i + (k - i) * n for i, k in table}
             shapes = [p for boxes in box_counts for p in enumerate_maximal_shapes(n, boxes)]
             vectors = {color_counts(p, n) for p in shapes}
             keys = {(p.boxes, color_counts(p, n)[0]) for p in shapes}
             assert len(calls) == len(keys) == len(vectors), n
             assert 15 * len(calls) < len(shapes), n
             # Shared box counts also hold labels beyond max_k, which are dropped.
-            filed = sum(e.count for e in table.entries.values())
+            filed = sum(e.count for e in table.values())
             assert filed == len(shapes) if n == 2 else filed < len(shapes), n
+
+    @pytest.mark.parametrize("n, max_k", [(4, 10), (8, 6)])
+    def test_keys_come_in_sorted_order(self, n, max_k):
+        # Components share a box residue here, so the enumeration visits
+        # labels out of (i, k) order; the CLI's writers rely on the map's.
+        table = multiplicity_table(n, max_k)
+        assert isinstance(table, dict)
+        assert list(table) == sorted(table)
 
     def test_entries_classify_back(self):
         table = multiplicity_table(4, 5)
-        for (i, k), entry in table.rows():
+        for (i, k), entry in table.items():
             assert k >= i
             for w in entry.witnesses:
                 assert classify_maximal(w, 4) == (i, k)
@@ -358,7 +366,7 @@ class TestBlocks:
 
 def rescaled_determinant(n, order):
     """Determinant of the theta matrix with row j divided by q^floor(j^2/n)."""
-    matrix = coefficient_matrix(n, order + (n // 2) ** 2 // n, conjecture=True)
+    matrix = coefficient_matrix(n, order + (n // 2) ** 2 // n)
     return qs.det([[e.shift(-(j * j // n)).truncate(order) for e in row] for j, row in enumerate(matrix)])
 
 
@@ -374,9 +382,31 @@ class TestMatrix:
 
     def test_unsupported_without_flag(self):
         with pytest.raises(UnsupportedModulusError):
-            coefficient_matrix(9, 10)
+            multiplicity.theta_solution(9, 10)
         with pytest.raises(UnsupportedModulusError):
             gf_theta(0, 4, 10)
+
+    def test_solve_refuses_before_assembling(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return coefficient_matrix(*args)
+
+        monkeypatch.setattr(multiplicity, "coefficient_matrix", counting)
+        multiplicity._theta_solve.cache_clear()
+        with pytest.raises(UnsupportedModulusError, match="n=9 is conjectural; pass conjecture=True"):
+            multiplicity.theta_solution(9, 10)
+        assert calls == []
+        multiplicity.theta_solution(9, 10, conjecture=True)
+        assert calls == [(9, 11)]
+
+    def test_matrix_builds_any_modulus(self):
+        # Whether the construction is proven is the solve's question, not
+        # the matrix's.
+        assert len(coefficient_matrix(9, 10)) == 5
+        with pytest.raises(ValueError, match="at least 2"):
+            coefficient_matrix(1, 5)
 
     def test_n2_entries_explicit(self):
         order = 100
@@ -515,7 +545,7 @@ class TestThetaSeries:
         # Every row of the n = 5 matrix has valuation 0, so the solve
         # builds it at the requested order.
         series = [gf_theta(i, 5, 30) for i in range(3)]
-        assert calls == [(5, 30, False)]
+        assert calls == [(5, 30)]
         assert series == list(multiplicity.theta_solution(5, 30))
         assert len(calls) == 1
 
@@ -539,7 +569,7 @@ class TestThetaSeries:
             calls.clear()
             dets.clear()
             series = multiplicity.theta_solution(n, 12)
-            assert calls == [(n, 12 + headroom, False)], n
+            assert calls == [(n, 12 + headroom)], n
             assert dets == [n // 2 + 1], n
             assert all(s.order == 12 for s in series)
 
@@ -579,7 +609,7 @@ class TestThetaSeries:
     def test_rescaled_determinant_must_be_a_unit(self, monkeypatch):
         # Doubling row 0 doubles the rescaled determinant's constant term.
         def double_row_0(rows):
-            rows[0] = [2 * e for e in rows[0]]
+            rows[0] = [e + e for e in rows[0]]
             return rows
 
         self._patch_matrix(monkeypatch, double_row_0)
@@ -742,7 +772,7 @@ class TestRouteIndependence:
             # The i x i square is the only member with i^2 boxes.
             assert gf_comb(i, 11, 40).coeff(0) == 1
         table = multiplicity_table(4, 6)
-        for (i, k), entry in table.rows():
+        for (i, k), entry in table.items():
             assert entry.count == gf_comb(i, 4, 7).coeff(k - i)
 
     def test_crystal_module_holds_no_chain_shape_code(self):

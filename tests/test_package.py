@@ -1,3 +1,4 @@
+import inspect
 import types
 
 import qcrystal
@@ -26,9 +27,10 @@ def test_package_reexports_exactly_the_module_exports():
 # `partition_identity_counts`, `e_tilde`, `f_tilde`, the crystal `phi`,
 # `Signature` with `SignatureEntry` and `word`, `i_signature`, `epsilon`,
 # `simple_root`) or are gone (the `WeightVector` members
-# `level`, `pairing`, `__sub__`, `__neg__` and `__rmul__`).
+# `level`, `pairing`, `__sub__`, `__neg__` and `__rmul__`, the `QSeries`
+# integer scaling `scaled` and `__rmul__`, and `MultiplicityTable`).
 EXPORTS = {
-    "ComponentLabel", "EMPTY", "IdentityReport", "MultiplicityTable", "NonUnitConstantError",
+    "ComponentLabel", "EMPTY", "IdentityReport", "NonUnitConstantError",
     "NonUnitDeterminantError", "OrderMismatchError", "Partition", "QSeries", "TableEntry",
     "UnsupportedModulusError", "WeightVector", "check_lemma_5_1", "check_lemma_5_2",
     "check_lemma_5_3", "check_lemma_5_4", "check_master", "check_theorem_5_1",
@@ -47,6 +49,9 @@ def test_exported_names_are_the_pinned_api():
     assert set().union(*(module.__all__ for module in MODULES)) == EXPORTS
     assert not hasattr(multiplicity, "entry_via_separation")
     assert not hasattr(qseries.QSeries, "contract")
+    for name in ("scaled", "__rmul__"):
+        assert not hasattr(qseries.QSeries, name), name
+    assert not hasattr(multiplicity, "MultiplicityTable")
     assert not hasattr(young, "color_of")
     assert not hasattr(identities, "partition_identity_counts")
     retired = ("e_tilde", "f_tilde", "phi", "_moved", "Signature", "SignatureEntry", "i_signature", "epsilon")
@@ -55,3 +60,8 @@ def test_exported_names_are_the_pinned_api():
     assert not hasattr(weightlat, "simple_root")
     for name in ("level", "pairing", "__sub__", "__neg__", "__rmul__"):
         assert not hasattr(weightlat.WeightVector, name), name
+
+
+def test_coefficient_matrix_takes_only_modulus_and_order():
+    # Whether the construction is proven for n is decided by the solve.
+    assert list(inspect.signature(multiplicity.coefficient_matrix).parameters) == ["n", "order"]

@@ -171,9 +171,16 @@ class TestRingOperations:
             assert a * (b + c) == a * b + a * c
             assert a * b == b * a
 
-    def test_scalar_and_shift(self):
+    def test_integer_scaling_is_not_an_operation(self):
+        # Callers write a multiple as a sum or a negation.
         s = QSeries.from_coeffs([1, 2, 3], 6)
-        assert 2 * s == s + s
+        with pytest.raises(TypeError):
+            s * 3
+        with pytest.raises(TypeError):
+            3 * s
+
+    def test_shift(self):
+        s = QSeries.from_coeffs([1, 2, 3], 6)
         assert s.shift(2).coeff(2) == 1 and s.shift(2).order == 8
         assert s.shift(2).truncate(6).order == 6
         with pytest.raises(ValueError):
@@ -406,7 +413,8 @@ unit_values = st.sampled_from((1, -1))
 def partition_power(order, k, sign):
     """sign / phi(q)^k: dense, coefficients past 80 bits for large k, and
     an inverse sign * phi(q)^k whose coefficients stay narrow."""
-    return restricted_partition_gf((), 1, order) ** k * sign
+    power = restricted_partition_gf((), 1, order) ** k
+    return power if sign > 0 else -power
 
 
 @st.composite
@@ -628,10 +636,15 @@ class TestEulerProducts:
             assert triple_product_g(r, s, 500) == triple_product_by_families(r, s, 500, -1), (r, s)
 
 
+BINOMIAL_CASES = ((-1, 1), (1, 1), (-1, -1))
+
+
 @st.composite
 def binomial_products(draw):
-    """A window, progressions sharing one step, a sign and a power for
-    `_binomial_product_inplace`.  Starts may repeat or lie past the
+    """A window, progressions sharing one step, and one of the (sign, power)
+    pairs callers pass to `_binomial_product_inplace`: (-1, 1) for the
+    Euler product and `triple_product_g`, (1, 1) for `triple_product_f`,
+    (-1, -1) for restricted partitions.  Starts may repeat or lie past the
     window; the step may exceed it.  The window's coefficients, small and
     past a machine word, come from a drawn seed, so that examples differ
     in shape rather than in coefficients."""
@@ -640,7 +653,7 @@ def binomial_products(draw):
     window = [rng.choice((rng.randint(-9, 9), rng.randint(-(2**80), 2**80))) for _ in range(size)]
     step = draw(st.one_of(st.integers(1, 16), st.integers(size, size + 5)))
     starts = draw(st.lists(st.integers(1, size + 5), max_size=4))
-    return window, starts, step, draw(st.sampled_from((1, -1))), draw(st.sampled_from((1, -1)))
+    return window, starts, step, *draw(st.sampled_from(BINOMIAL_CASES))
 
 
 class TestBinomialProduct:
@@ -648,7 +661,7 @@ class TestBinomialProduct:
     @given(binomial_products())
     @example(([1] + [0] * 199, [1], 1, -1, 1))  # factors a - 1 and a would meet below q^N
     @example(([1] + [0] * 599, [1, 1, 2], 1, -1, 1))  # depth 8
-    @example(([1] + [0] * 299, [300, 7], 7, 1, -1))  # a start at the window length
+    @example(([1] + [0] * 299, [300, 7], 7, -1, -1))  # a start at the window length
     @example(([3, -1] * 200, [5, 5], 400, 1, 1))  # the step is the window length
     @example(([1] + [0] * 599, [0, 7], 7, 1, 1))  # start 0: the factor 1 + q^0 doubles
     @example(([1] + [0] * 599, [7, 0], 7, -1, 1))  # start 0: the factor 1 - q^0 kills
@@ -662,7 +675,7 @@ class TestBinomialProduct:
 
     def test_every_fold_depth(self):
         # The first (length, step) at each depth up to the deepest one with
-        # lengths up to 600 and four progressions, every sign and power.
+        # lengths up to 600 and four progressions, each (sign, power) pair.
         rng = random.Random(13)
         starts = (1, 2, 2, 5)
         cases = {}
@@ -672,7 +685,7 @@ class TestBinomialProduct:
         assert sorted(cases) == list(range(1, 10))
         for depth, (size, step) in cases.items():
             window = [rng.randint(-9, 9) for _ in range(size)]
-            sign, power = ((1, 1), (-1, 1), (1, -1), (-1, -1))[depth % 4]
+            sign, power = BINOMIAL_CASES[depth % len(BINOMIAL_CASES)]
             got = list(window)
             qseries._binomial_product_inplace(got, starts, step, sign, power)
             assert got == binomial_product_by_factors(window, starts, step, sign, power), depth

@@ -1,12 +1,44 @@
-"""The README's library quick start runs as written and states true values."""
+"""The README's library quick start and command-line samples run as
+written and state true values."""
 
 import ast
 import io
+import json
 import re
+import shlex
 import tokenize
 from pathlib import Path
 
+import pytest
+
+from qcrystal import cli
+
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def fenced_blocks(language: str) -> list[str]:
+    return re.findall(rf"```{language}\n(.*?)```", README.read_text(), re.S)
+
+
+def command_lines() -> list[str]:
+    """Every `qcrystal ...` line of the README's shell blocks."""
+    return [
+        line.strip()
+        for block in fenced_blocks("sh")
+        for line in block.splitlines()
+        if line.startswith("qcrystal ")
+    ]
+
+
+def run(argv, capsys) -> str:
+    assert cli.main(argv) == 0, argv
+    return capsys.readouterr().out
+
+
+def json_sample(first_key: str) -> str:
+    """The README's JSON sample whose first key is `first_key`."""
+    (sample,) = [b for b in fenced_blocks("json") if b.startswith(f'{{\n  "n": 3,\n  "{first_key}"')]
+    return sample
 
 
 def quick_start_block() -> str:
@@ -46,3 +78,24 @@ def test_quick_start_values_match_comments():
         assert got == expected[stmt.end_lineno], ast.unparse(stmt)
         checked += 1
     assert checked == len(expected) > 0
+
+
+def test_command_samples_cover_every_subcommand():
+    assert {line.split()[1] for line in command_lines()} == {"decompose", "bseries", "verify"}
+
+
+@pytest.mark.parametrize("line", command_lines())
+def test_command_sample_exits_0(line, capsys):
+    run(shlex.split(line)[1:], capsys)
+
+
+def test_bseries_json_sample_is_the_output(capsys):
+    argv = ["bseries", "--n", "3", "--order", "5", "--method", "both", "--format", "json"]
+    assert run(argv, capsys) == json_sample("order")
+
+
+def test_decompose_json_sample_rows_are_in_the_output(capsys):
+    argv = ["decompose", "--n", "3", "--max-k", "7", "--format", "json"]
+    entries = json.loads(run(argv, capsys))["entries"]
+    shown = [json.loads(line.strip().rstrip(",")) for line in json_sample("max_k").splitlines() if '"i"' in line]
+    assert shown and all(row in entries for row in shown)
