@@ -201,17 +201,15 @@ _tables: dict[int, tuple[int, tuple[tuple[int, ...], ...]]] = {}
 def _table_for(n: int, boxes: int) -> tuple[tuple[int, ...], ...]:
     """Cached `_count_table` rows for modulus n covering `boxes`.
 
-    The cache maps n to (size, rows).  A too-small table is rebuilt at
-    twice its size or more, so a run of increasing requests rebuilds only
-    logarithmically often.  Every size is rounded up to a box count
-    congruent to (n // 2)^2 mod n, which completes the highest component's
-    last entry, so a `gf_comb` request at that size reuses the table.  The
-    cache keeps the most recently used moduli.
+    The cache maps n to (size, rows).  A too-small table is rebuilt at the
+    size asked, rounded up to a box count congruent to (n // 2)^2 mod n,
+    which completes the highest component's last entry, so a `gf_comb`
+    request at that size reuses the table.  The cache keeps the most
+    recently used moduli.
     """
     size, table = _tables.pop(n, (-1, ()))
     if size < boxes:
-        size = max(boxes, 2 * size)
-        size += ((n // 2) ** 2 - size) % n
+        size = boxes + ((n // 2) ** 2 - boxes) % n
         table = _count_table(n, size)
     _tables[n] = size, table
     while len(_tables) > _TABLE_CACHE_SIZE:
@@ -325,12 +323,21 @@ def coefficient_matrix(n: int, order: int) -> tuple[tuple[QSeries, ...], ...]:
 
 def theta_solution(n: int, order: int, conjecture: bool = False) -> tuple[QSeries, ...]:
     """Every component's generating function from one theta-matrix solve,
-    indexed by component; the eight most recent solves are cached."""
-    return _theta_solve(n, order, bool(conjecture))
+    indexed by component.  Without `conjecture`, a modulus outside the
+    proven branches raises `UnsupportedModulusError` before anything is
+    assembled; `conjecture` changes nothing else, so the cached solve is
+    keyed on (n, order) alone."""
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    if not (conjecture or theta_branch(n)[1]):
+        raise UnsupportedModulusError(
+            f"matrix construction for n={n} is conjectural; pass conjecture=True to build it"
+        )
+    return _theta_solve(n, order)
 
 
 @functools.lru_cache(maxsize=8)
-def _theta_solve(n: int, order: int, conjecture: bool) -> tuple[QSeries, ...]:
+def _theta_solve(n: int, order: int) -> tuple[QSeries, ...]:
     """Solve the theta-matrix system for every component at once.
 
     Row j of the matrix has valuation floor(j^2 / n), and dividing each
@@ -347,15 +354,8 @@ def _theta_solve(n: int, order: int, conjecture: bool) -> tuple[QSeries, ...]:
     times phi(q^2) for even n; `QSeries.invert` picks its own method for
     it.  A row entry below its row's power of q, or a rescaled determinant
     without constant term +-1, raises `NonUnitDeterminantError`; no n in
-    2..41, conjectured moduli included, does.  Without `conjecture`, a modulus
-    outside the proven branches raises `UnsupportedModulusError` first.
+    2..41, conjectured moduli included, does.
     """
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    if not (conjecture or theta_branch(n)[1]):
-        raise UnsupportedModulusError(
-            f"matrix construction for n={n} is conjectural; pass conjecture=True to build it"
-        )
     matrix = coefficient_matrix(n, order + (n // 2) ** 2 // n)
     rescaled = []
     for j, row in enumerate(matrix):

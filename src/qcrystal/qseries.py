@@ -15,7 +15,8 @@ term pair at a time.  A factor with few nonzero coefficients against a
 denser one takes one slice pass over it per term.  Other pairs are packed
 into one big integer each (Kronecker substitution) with signed slots one
 bit wider than a proven coefficient bound.  Determinants, of matrices
-whose entries have valuation >= 0, keep their Laplace minors packed too.
+whose entries have valuation >= 0, come from one memoised Laplace
+expansion per matrix, whose minors are packed too.
 
 Products are exact: when a factor has negative valuation, coefficients of
 the product near the truncation bound would need tail data that a
@@ -575,60 +576,6 @@ def _square_rows(matrix) -> tuple[tuple[QSeries, ...], ...]:
     return rows
 
 
-def _packed_laplace(rows: tuple[tuple[QSeries, ...], ...]):
-    """Laplace expansion of the trailing rows along their top one, memoised
-    on the column set, so every minor is computed once.  A one-column minor
-    is the bottom entry itself; a wider one is one integer with a signed
-    `slot`-bit slot per coefficient, so an entry times a minor is a
-    shift-add per nonzero entry coefficient.  A permanent is at most the
-    product of its row sums, so no coefficient of a minor or partial sum
-    exceeds max|bottom row| times the sum of |coefficients| of each row
-    between row 0 and the bottom: the slot is that bound's bit length plus
-    a sign bit.
-    """
-    size, order = len(rows), rows[0][0].order
-    bottom = rows[-1]
-    bound = max(max(map(abs, entry.coeffs), default=0) for entry in bottom)
-    for row in rows[1:-1]:
-        bound *= max(1, sum(sum(map(abs, entry.coeffs)) for entry in row))
-    slot = bound.bit_length() + 1
-    window = 1 << slot * order
-    # (bit shift, coefficient) per nonzero coefficient of rows 1..size-2
-    terms = [
-        [[(slot * (entry.lowest + i), c) for i, c in enumerate(entry.coeffs) if c] for entry in row]
-        for row in rows[1:-1]
-    ]
-    packed = {1 << col: _pack(entry.coefficient_list(), slot) for col, entry in enumerate(bottom)} if size > 2 else {}
-
-    def expand(cols: int) -> int:  # the minor on a column bit mask, memoised
-        row = terms[size - 1 - cols.bit_count()]
-        acc, sign, rest = 0, 1, cols
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            shifts = row[bit.bit_length() - 1]
-            if shifts:
-                sub = packed.get(cols ^ bit)
-                if sub is None:
-                    sub = expand(cols ^ bit)
-                if sub:
-                    for shift, c in shifts:
-                        acc += sign * c * sub << shift
-            sign = -sign
-        acc &= window - 1  # mod q^order, then re-centred
-        if acc >= window >> 1:
-            acc -= window
-        packed[cols] = acc
-        return acc
-
-    def minor(cols: tuple[int, ...]) -> QSeries:
-        if len(cols) < 2:
-            return bottom[cols[0]] if cols else QSeries.one(order)
-        return QSeries._new(0, _unpack(expand(sum(1 << col for col in cols)), slot, order), order)
-
-    return minor
-
-
 def det(matrix) -> QSeries:
     """Determinant of a square matrix of same-order series, each of
     valuation >= 0: the Laplace step along row 0, the sum of
@@ -651,12 +598,56 @@ def cofactors(matrix) -> tuple[QSeries, ...]:
 
 @lru_cache(maxsize=1)
 def _cofactors(rows: tuple[tuple[QSeries, ...], ...]) -> tuple[QSeries, ...]:
-    if rows[0][0].order < 1:  # every entry and cofactor is zero
-        return (QSeries.zero(rows[0][0].order),) * len(rows)
-    minor = _packed_laplace(rows)
-    cols = tuple(range(len(rows)))
-    out = []
-    for i in cols:
-        m = minor(cols[:i] + cols[i + 1:])
-        out.append(-m if i % 2 else m)
-    return tuple(out)
+    """Row-0 cofactors, (-1)^i times the minor without row 0 and column i,
+    from one Laplace expansion of the trailing rows along their top one,
+    memoised on the column set, so every minor is computed once; a 1 x 1
+    or 2 x 2 matrix needs none.  A minor is one integer with a signed
+    `slot`-bit slot per coefficient (a one-column minor is the packed
+    bottom entry), so an entry times a minor is a shift-add per nonzero
+    entry coefficient.  A permanent is at most the product of its row sums, so no coefficient of
+    a minor or partial sum exceeds max|bottom row| times the sum of
+    |coefficients| of each row between row 0 and the bottom: the slot is
+    that bound's bit length plus a sign bit.
+    """
+    size, order = len(rows), rows[0][0].order
+    if order < 1:  # every entry and cofactor is zero
+        return (QSeries.zero(order),) * size
+    if size < 3:
+        return (QSeries.one(order),) if size == 1 else (rows[1][1], -rows[1][0])
+    bottom = rows[-1]
+    bound = max(max(map(abs, entry.coeffs), default=0) for entry in bottom)
+    for row in rows[1:-1]:
+        bound *= max(1, sum(sum(map(abs, entry.coeffs)) for entry in row))
+    slot = bound.bit_length() + 1
+    window = 1 << slot * order
+    # (bit shift, coefficient) per nonzero coefficient of rows 1..size-2
+    terms = [
+        [[(slot * (entry.lowest + i), c) for i, c in enumerate(entry.coeffs) if c] for entry in row]
+        for row in rows[1:-1]
+    ]
+    packed = {1 << col: _pack(entry.coefficient_list(), slot) for col, entry in enumerate(bottom)}
+
+    def expand(cols: int) -> int:  # the minor on a column bit mask, memoised
+        row = terms[size - 1 - cols.bit_count()]
+        acc, sign, rest = 0, 1, cols
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            shifts = row[bit.bit_length() - 1]
+            if shifts:
+                sub = packed.get(cols ^ bit)
+                if sub is None:
+                    sub = expand(cols ^ bit)
+                if sub:
+                    for shift, c in shifts:
+                        acc += sign * c * sub << shift
+            sign = -sign
+        acc &= window - 1  # mod q^order, then re-centred
+        if acc >= window >> 1:
+            acc -= window
+        packed[cols] = acc
+        return acc
+
+    full = (1 << size) - 1
+    minors = (QSeries._new(0, _unpack(expand(full ^ 1 << i), slot, order), order) for i in range(size))
+    return tuple(-m if i % 2 else m for i, m in enumerate(minors))

@@ -256,6 +256,17 @@ class TestCounting:
             count_by_component(n, 10)
         assert len(multiplicity._tables) <= multiplicity._TABLE_CACHE_SIZE
 
+    def test_table_grows_to_the_size_asked(self, monkeypatch):
+        # A larger request rebuilds at its own size, rounded up to complete
+        # the highest component's last row, not at twice the old size.
+        builds = []
+        real = multiplicity._count_table
+        monkeypatch.setattr(multiplicity, "_count_table", lambda n, boxes: builds.append((n, boxes)) or real(n, boxes))
+        monkeypatch.setattr(multiplicity, "_tables", {})
+        count_by_component(3, 30)
+        count_by_component(3, 40)
+        assert builds == [(3, 31), (3, 40)]
+
     def test_slot_overflow_is_detected(self):
         assert multiplicity._unpack(0b011_001, 3, 2) == (1, 3)
         with pytest.raises(OverflowError):
@@ -549,6 +560,22 @@ class TestThetaSeries:
         assert series == list(multiplicity.theta_solution(5, 30))
         assert len(calls) == 1
 
+    def test_conjecture_flag_shares_the_proven_solve(self, monkeypatch):
+        # On a proven modulus `conjecture` changes nothing, so it must not
+        # key a second solve of the same matrix.
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return coefficient_matrix(*args)
+
+        monkeypatch.setattr(multiplicity, "coefficient_matrix", counting)
+        multiplicity._theta_solve.cache_clear()
+        proven = multiplicity.theta_solution(5, 30)
+        assert multiplicity.theta_solution(5, 30, conjecture=True) == proven
+        assert calls == [(5, 30)]
+        assert multiplicity._theta_solve.cache_info().currsize == 1
+
     def test_solve_builds_one_matrix_at_known_headroom(self, monkeypatch):
         calls, dets = [], []
 
@@ -575,14 +602,15 @@ class TestThetaSeries:
 
     def test_solve_expands_its_matrix_once(self, monkeypatch):
         calls = []
-        for name in ("det", "cofactors", "_packed_laplace"):
+        for name in ("det", "cofactors"):
             real = getattr(qs, name)
             monkeypatch.setattr(qs, name, lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args))
         multiplicity._theta_solve.cache_clear()
         qs._cofactors.cache_clear()
         multiplicity.theta_solution(11, 40)
         # One expansion serves the determinant and the cofactors.
-        assert sorted(calls) == ["_packed_laplace", "cofactors", "det"]
+        assert sorted(calls) == ["cofactors", "det"]
+        assert qs._cofactors.cache_info().misses == 1
 
     @staticmethod
     def _patch_matrix(monkeypatch, edit):
@@ -764,7 +792,7 @@ class TestRouteIndependence:
         assert multiplicity.theta_solution(11, 40) == expected
 
     def test_combinatorial_route_uses_no_theta_series(self, monkeypatch):
-        _forbid(monkeypatch, qs, "det", "_packed_laplace", "theta_f", "theta_g", "euler_phi")
+        _forbid(monkeypatch, qs, "det", "_cofactors", "theta_f", "theta_g", "euler_phi")
         _forbid(monkeypatch, multiplicity, "coefficient_matrix")
         monkeypatch.setattr(multiplicity, "_tables", {})
         monkeypatch.setattr(young, "_shape_cache", (0, ()))
