@@ -43,40 +43,51 @@ class IdentityReport:
         return self.first_discrepancy is None
 
 
-def distinct_odd_sum_form(i: int, order: int) -> QSeries:
-    """Sum over m of q^(2m^2 + 2im) / prod_{k=1}^{2m+i} (1 - q^k).
+def distinct_odd_sum_form(i: int, order: int, times: QSeries | None = None) -> QSeries:
+    """Sum over m of q^(2m^2 + 2im) / prod_{k=1}^{2m+i} (1 - q^k), times
+    the series `times` (None: the series 1).
 
     For i = 0 the coefficient of q^k counts partitions of 2k into distinct
-    odd parts; for i = 1, partitions of 2k - 1.
+    odd parts; for i = 1, partitions of 2k - 1.  `times` must have the
+    truncation order `order` (else `OrderMismatchError`) and valuation >= 0
+    (else `ValueError`); the product is exact mod q^order.
     """
     if i not in (0, 1):
         raise ValueError("only components 0 and 1 exist for modulus 2")
     if order < 1:
         raise ValueError("order must be at least 1")
-    return _distinct_odd_sum_forms(order)[i]
+    if times is None:
+        times = QSeries.one(order)
+    elif times.order != order:
+        raise qs.OrderMismatchError(f"orders differ: {times.order} != {order}")
+    elif times.lowest < 0:
+        raise ValueError("times must have valuation at least 0")
+    return _distinct_odd_sum_forms(order, times)[i]
 
 
-# Lemma 5.1 asks for both components at one order.
+# Lemma 5.1 asks for both components at one order, with one multiplier.
 @functools.lru_cache(maxsize=1)
-def _distinct_odd_sum_forms(order: int) -> tuple[QSeries, QSeries]:
-    """Both sum forms from one running inverse of prod (1 - q^k).
+def _distinct_odd_sum_forms(order: int, times: QSeries) -> tuple[QSeries, QSeries]:
+    """Both sum forms, each times `times`, from one running quotient
+    times / prod (1 - q^k).
 
     Term k = 2m + i of either form is q^(k^2 // 2) / prod_{j<=k} (1 - q^j),
-    so the terms of S_0 and S_1 alternate as k grows.  Term k and all
-    later ones read the inverse only below order - k^2 // 2, and dividing
-    by (1 - q^k) never reads above the coefficient it writes, so the
-    inverse is cut to that length before each division.
+    so the terms of S_0 and S_1 alternate as k grows; by distributivity
+    term k of S_i * times is q^(k^2 // 2) times the running quotient.
+    Term k and all later ones read the quotient only below
+    order - k^2 // 2, and dividing by (1 - q^k) never reads above the
+    coefficient it writes, so the quotient is cut to that length before
+    each division, exactly.
     """
     sums = ([0] * order, [0] * order)
-    inv = [0] * order  # running inverse of prod (1 - q^j), j <= k
-    inv[0] = 1
+    run = times.coefficient_list()  # times / prod (1 - q^j), j <= k
     k = 0
     while (exponent := k * k // 2) < order:
-        del inv[order - exponent:]
+        del run[order - exponent:]
         if k:
-            qs._div_binomial_inplace(inv, k)
+            qs._div_binomial_inplace(run, k)
         acc = sums[k % 2]
-        acc[exponent:] = map(add, acc[exponent:], inv)
+        acc[exponent:] = map(add, acc[exponent:], run)
         k += 1
     return tuple(QSeries.from_coeffs(acc, order) for acc in sums)
 
@@ -99,10 +110,11 @@ def check_lemma_5_1(order: int) -> IdentityReport:
     D has constant term 1, so at the same truncation this is equivalent to
     S_i == phi * theta_i / D, and the first failing exponent and the gap
     there are the same; the reported values are those of S_i * D and
-    phi * theta_i."""
+    phi * theta_i.  S_i * D comes from the pass that builds the sum forms,
+    started from D instead of 1, so S_i itself is never formed."""
     phi, f53, f17, disc = _two_core_pieces(order)
     for i, numer in ((0, f53), (1, f17)):
-        diff = qs.first_difference(distinct_odd_sum_form(i, order) * disc, phi * numer)
+        diff = qs.first_difference(distinct_odd_sum_form(i, order, disc), phi * numer)
         if diff is not None:
             return IdentityReport(f"lemma5.1[i={i}]", order, diff)
     return IdentityReport("lemma5.1", order, None)

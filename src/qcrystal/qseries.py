@@ -478,9 +478,11 @@ def _binomial_product_inplace(window: list[int], starts, step: int, sign: int, p
             for e in firsts:
                 at = base + k * e - lo
                 acc[at:] = map(op, acc[at:], run)
-        if any(map(i.__rmod__, acc)):
-            raise ArithmeticError(f"power-sum round {i} is not divisible by {i}")
-        folded.append(list(map(i.__rfloordiv__, acc)))
+        if i > 1:
+            if any(map(i.__rmod__, acc)):
+                raise ArithmeticError(f"power-sum round {i} is not divisible by {i}")
+            acc = list(map(i.__rfloordiv__, acc))
+        folded.append(acc)
     for i, w in enumerate(folded[1:], start=1):
         window[i * a:] = map(add, window[i * a:], w)
 

@@ -1,6 +1,7 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcrystal import identities, multiplicity, qseries
 from qcrystal.identities import (
@@ -15,7 +16,7 @@ from qcrystal.identities import (
     distinct_odd_sum_form,
 )
 from qcrystal.multiplicity import gf_comb
-from qcrystal.qseries import QSeries, euler_phi, first_difference, theta_f
+from qcrystal.qseries import OrderMismatchError, QSeries, euler_phi, first_difference, theta_f
 
 from helpers import (
     count_distinct_odd,
@@ -63,6 +64,49 @@ class TestSumForms:
         for order in range(1, 81):
             for i in (0, 1):
                 assert distinct_odd_sum_form(i, order) == distinct_odd_sum_form_by_loops(i, order), (i, order)
+
+
+@st.composite
+def multipliers(draw):
+    """An order up to 60 and a series at that order with valuation >= 0,
+    possibly zero, its coefficients small or wide."""
+    order = draw(st.integers(1, 60))
+    lowest = draw(st.integers(0, order - 1))
+    values = st.one_of(st.integers(-9, 9), st.integers(-(2**80), 2**80))
+    coeffs = draw(st.lists(values, max_size=order - lowest))
+    return order, QSeries.from_coeffs(coeffs, order, lowest)
+
+
+class TestSumFormTimes:
+    @settings(max_examples=200, deadline=None)
+    @given(multipliers(), st.sampled_from([0, 1]))
+    def test_carries_any_multiplier_exactly(self, drawn, i):
+        order, times = drawn
+        assert distinct_odd_sum_form(i, order, times) == distinct_odd_sum_form(i, order) * times
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 150, 1189])
+    def test_carries_the_theta_square_difference(self, order):
+        disc = identities._two_core_pieces(order)[3]
+        for i in (0, 1):
+            assert distinct_odd_sum_form(i, order, disc) == distinct_odd_sum_form_by_loops(i, order) * disc
+
+    def test_rejects_a_multiplier_of_another_order(self):
+        with pytest.raises(OrderMismatchError):
+            distinct_odd_sum_form(0, 40, QSeries.one(41))
+
+    def test_rejects_a_multiplier_of_negative_valuation(self):
+        with pytest.raises(ValueError):
+            distinct_odd_sum_form(1, 40, QSeries.monomial(1, -1, 40))
+
+    def test_lemma_5_1_makes_no_packed_product(self, monkeypatch):
+        calls = []
+        packed = qseries._packed_product
+        monkeypatch.setattr(
+            qseries, "_packed_product", lambda *args: calls.append(args[2]) or packed(*args)
+        )
+        identities._two_core_pieces.cache_clear()
+        assert check_lemma_5_1(1189).holds
+        assert calls == []
 
 
 class TestSeriesChecks:
@@ -125,15 +169,16 @@ class TestSeriesChecks:
     def test_cleared_lemma_5_1_reports_a_perturbed_sum_form_where_it_breaks(
         self, monkeypatch, i, e
     ):
-        # The check compares S_i * D with phi * theta_i.  D has constant
-        # term 1, so adding q^e to S_i moves S_i * D first at e, by 1.
+        # The check compares S_i * D, built with D as the multiplier, with
+        # phi * theta_i.  D has constant term 1, so adding q^e to S_i, which
+        # adds q^e * D to the product, moves S_i * D first at e, by 1.
         order = 150
         real = identities.distinct_odd_sum_form
 
-        def perturbed(component, at_order):
-            series = real(component, at_order)
+        def perturbed(component, at_order, times):
+            series = real(component, at_order, times)
             if component == i:
-                series = series + QSeries.monomial(1, e, at_order)
+                series = series + QSeries.monomial(1, e, at_order) * times
             return series
 
         monkeypatch.setattr(identities, "distinct_odd_sum_form", perturbed)
