@@ -4,14 +4,15 @@ only tests need, and checks of series laws the library itself never calls."""
 
 import functools
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from qcrystal import identities
 from qcrystal.crystal import MINUS, PLUS, _corners, _require_crystal_vertex
 from qcrystal.multiplicity import _entry_terms, residue_block
 from qcrystal.qseries import QSeries, theta_f, theta_g
-from qcrystal.weightlat import WeightVector
-from qcrystal.young import Partition
+from qcrystal.weightlat import WeightVector, classify_maximal
+from qcrystal.young import Partition, enumerate_maximal_shapes
 
 
 def partitions_of(total, max_part=None):
@@ -518,6 +519,52 @@ def distinct_odd_sum_form_by_loops(i, order):
             acc[exponent + t] += inv[t]
         m += 1
     return QSeries.from_coeffs(acc, order)
+
+
+def inverse_pochhammer_product(ms, order):
+    """Coefficients below `order` of 1 / ((q)_{m_1} ... (q)_{m_r}), one
+    factor 1 / (1 - q^j) at a time."""
+    coeffs = [1] + [0] * (order - 1)
+    for m in ms:
+        for j in range(1, m + 1):
+            for x in range(j, order):
+                coeffs[x] += coeffs[x - j]
+    return coeffs
+
+
+def chain_shape_rows(n, i, k):
+    """Row count -> number of chain shapes with label (i, k), each shape
+    enumerated at its box count i^2 + (k - i) n and classified."""
+    shapes = enumerate_maximal_shapes(n, i * i + (k - i) * n)
+    return Counter(p.num_rows for p in shapes if classify_maximal(p, n) == (i, k))
+
+
+def fermionic_rows_n2(i, k):
+    """Row count m -> [q^(k - i)] q^((m^2 - i) / 2) / (q)_m for m = i mod 2,
+    nonzero values only: the n = 2 fermionic sum for B_i, term by term."""
+    out = {}
+    m = i
+    while (exponent := (m * m - i) // 2) <= k - i:
+        coeff = inverse_pochhammer_product([m], k - i - exponent + 1)[-1]
+        if coeff:
+            out[m] = coeff
+        m += 2
+    return out
+
+
+def fermionic_rows_n3_component_0(k):
+    """Row count r -> sum over m1 + 2 m2 = r with r = 0 mod 3 of
+    [q^k] q^(2 (m1^2 + m1 m2 + m2^2) / 3) / ((q)_{m1} (q)_{m2}), nonzero
+    values only: the n = 3 fermionic sum for B_0, grouped by m1 + 2 m2."""
+    out = Counter()
+    m2 = 0
+    while 2 * m2 * m2 <= 3 * k:
+        m1 = m2 % 3  # m1 + 2 m2 = 0 mod 3 exactly when m1 = m2 mod 3
+        while (exponent := 2 * (m1 * m1 + m1 * m2 + m2 * m2) // 3) <= k:
+            out[m1 + 2 * m2] += inverse_pochhammer_product([m1, m2], k - exponent + 1)[-1]
+            m1 += 3
+        m2 += 1
+    return +out
 
 
 def print_json_rows_joined(head, key, rows):

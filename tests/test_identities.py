@@ -37,8 +37,7 @@ class TestReport:
 
 class TestSumForms:
     def test_counts_partitions_with_distinct_odd_parts(self):
-        s0 = distinct_odd_sum_form(0, 40)
-        s1 = distinct_odd_sum_form(1, 40)
+        s0, s1 = distinct_odd_sum_form(40)
         assert s0.coeff(0) == 1
         assert s1.coeff(1) == 1
         for k in range(40):
@@ -46,24 +45,19 @@ class TestSumForms:
             assert s1.coeff(k) == count_distinct_odd(2 * k + 1)
 
     def test_ties_to_enumeration_series(self):
-        assert distinct_odd_sum_form(0, 40) == gf_comb(0, 2, 40)
-        assert distinct_odd_sum_form(1, 40) == gf_comb(1, 2, 40)
-
-    def test_rejects_bad_component(self):
-        with pytest.raises(ValueError):
-            distinct_odd_sum_form(2, 10)
+        assert distinct_odd_sum_form(40) == (gf_comb(0, 2, 40), gf_comb(1, 2, 40))
 
     @pytest.mark.parametrize("i", [0, 1])
     def test_matches_coefficient_loops_at_high_order(self, i):
         for order in (1189, 1200):
-            assert distinct_odd_sum_form(i, order) == distinct_odd_sum_form_by_loops(i, order)
+            assert distinct_odd_sum_form(order)[i] == distinct_odd_sum_form_by_loops(i, order)
 
     def test_matches_coefficient_loops_at_every_low_order(self):
         # Both components come from one pass whose inverse is cut as the
         # term exponents grow; small orders end that pass at every step.
         for order in range(1, 81):
             for i in (0, 1):
-                assert distinct_odd_sum_form(i, order) == distinct_odd_sum_form_by_loops(i, order), (i, order)
+                assert distinct_odd_sum_form(order)[i] == distinct_odd_sum_form_by_loops(i, order), (i, order)
 
 
 @st.composite
@@ -82,21 +76,21 @@ class TestSumFormTimes:
     @given(multipliers(), st.sampled_from([0, 1]))
     def test_carries_any_multiplier_exactly(self, drawn, i):
         order, times = drawn
-        assert distinct_odd_sum_form(i, order, times) == distinct_odd_sum_form(i, order) * times
+        assert distinct_odd_sum_form(order, times)[i] == distinct_odd_sum_form(order)[i] * times
 
     @pytest.mark.parametrize("order", [1, 2, 3, 150, 1189])
     def test_carries_the_theta_square_difference(self, order):
-        disc = identities._two_core_pieces(order)[3]
+        disc = identities._two_core_pieces(order)[2]
         for i in (0, 1):
-            assert distinct_odd_sum_form(i, order, disc) == distinct_odd_sum_form_by_loops(i, order) * disc
+            assert distinct_odd_sum_form(order, disc)[i] == distinct_odd_sum_form_by_loops(i, order) * disc
 
     def test_rejects_a_multiplier_of_another_order(self):
         with pytest.raises(OrderMismatchError):
-            distinct_odd_sum_form(0, 40, QSeries.one(41))
+            distinct_odd_sum_form(40, QSeries.one(41))
 
     def test_rejects_a_multiplier_of_negative_valuation(self):
         with pytest.raises(ValueError):
-            distinct_odd_sum_form(1, 40, QSeries.monomial(1, -1, 40))
+            distinct_odd_sum_form(40, QSeries.monomial(1, -1, 40))
 
     def test_lemma_5_1_makes_no_packed_product(self, monkeypatch):
         calls = []
@@ -130,11 +124,14 @@ class TestSeriesChecks:
         info = identities._two_core_pieces.cache_info()
         assert (info.misses, info.hits, info.maxsize) == (1, 1, 1)
 
-    def test_lemma_5_1_builds_both_sum_forms_in_one_pass(self):
-        identities._distinct_odd_sum_forms.cache_clear()
+    def test_lemma_5_1_builds_both_sum_forms_in_one_pass(self, monkeypatch):
+        calls = []
+        real = identities.distinct_odd_sum_form
+        monkeypatch.setattr(
+            identities, "distinct_odd_sum_form", lambda *args: calls.append(args) or real(*args)
+        )
         assert check_lemma_5_1(120).holds
-        info = identities._distinct_odd_sum_forms.cache_info()
-        assert (info.misses, info.hits, info.maxsize) == (1, 1, 1)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("order", [1, 2, 3, 150, 1189])
     def test_lemma_5_3_inverts_once_and_substitutes_for_phi_q2(self, monkeypatch, order):
@@ -175,11 +172,10 @@ class TestSeriesChecks:
         order = 150
         real = identities.distinct_odd_sum_form
 
-        def perturbed(component, at_order, times):
-            series = real(component, at_order, times)
-            if component == i:
-                series = series + QSeries.monomial(1, e, at_order) * times
-            return series
+        def perturbed(at_order, times):
+            pair = list(real(at_order, times))
+            pair[i] = pair[i] + QSeries.monomial(1, e, at_order) * times
+            return tuple(pair)
 
         monkeypatch.setattr(identities, "distinct_odd_sum_form", perturbed)
         report = check_lemma_5_1(order)

@@ -34,9 +34,12 @@ from qcrystal.weightlat import classify_maximal
 from qcrystal.young import EMPTY, Partition, color_counts, enumerate_maximal_shapes
 
 from helpers import (
+    chain_shape_rows,
     count_distinct_odd,
     count_table_by_pair_states,
     entry_via_separation,
+    fermionic_rows_n2,
+    fermionic_rows_n3_component_0,
     multiplicity_table_by_filter,
     partition_number,
 )
@@ -544,6 +547,13 @@ class TestThetaSeries:
             for i, series in enumerate(solution):
                 assert series == gf_comb(i, n, order), (n, order, i)
 
+    def test_conjectured_moduli_up_to_41_solve_and_agree_with_enumeration(self):
+        # The solve raises NonUnitDeterminantError for no n in 2..41,
+        # conjectured moduli included, and what it returns is B_i.
+        for n in range(2, 42):
+            solution = multiplicity.theta_solution(n, 6, conjecture=True)
+            assert list(solution) == [gf_comb(i, n, 6) for i in range(n // 2 + 1)], n
+
     def test_components_share_one_solve(self, monkeypatch):
         calls = []
 
@@ -815,3 +825,19 @@ class TestRouteIndependence:
                 for member in enumerate_maximal_shapes(n, boxes):
                     by_class[classify_maximal(member, n).i] += 1
                 assert by_class == list(count_by_component(n, boxes)), (n, boxes)
+
+
+class TestRowRefinements:
+    """The fermionic sums for B_i, split term by term, count the chain
+    shapes with a given label by their number of rows."""
+
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_n2_rows_are_the_index_of_each_term(self, i):
+        # [q^(k - i)] q^((m^2 - i) / 2) / (q)_m shapes with label (i, k) and
+        # m rows for m = i mod 2, and none for m of the other parity.
+        for k in range(i, 14 + i):
+            assert chain_shape_rows(2, i, k) == fermionic_rows_n2(i, k), (i, k)
+
+    def test_n3_component_0_rows_are_m1_plus_2m2(self):
+        for k in range(12):
+            assert chain_shape_rows(3, 0, k) == fermionic_rows_n3_component_0(k), k

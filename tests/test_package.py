@@ -1,5 +1,9 @@
+import ast
 import inspect
+import re
+import sys
 import types
+from pathlib import Path
 
 import qcrystal
 from qcrystal import crystal, identities, multiplicity, qseries, weightlat, young
@@ -65,3 +69,32 @@ def test_exported_names_are_the_pinned_api():
 def test_coefficient_matrix_takes_only_modulus_and_order():
     # Whether the construction is proven for n is decided by the solve.
     assert list(inspect.signature(multiplicity.coefficient_matrix).parameters) == ["n", "order"]
+
+
+def _test_extra_names():
+    """Distribution names in pyproject.toml's `test` extra, read without
+    tomllib, which Python 3.10 lacks."""
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    section = text.split("[project.optional-dependencies]", 1)[1].split("\n[", 1)[0]
+    (listed,) = re.findall(r"^test\s*=\s*\[(.*?)\]", section, re.M | re.S)
+    return {re.match(r"[\w.-]+", req).group().lower() for req in re.findall(r'"([^"]+)"', listed)}
+
+
+def test_test_extra_installs_every_third_party_module_the_tests_import():
+    local = set(sys.stdlib_module_names) | {"qcrystal", "helpers", "conftest"}
+    imported = {}
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), path.name)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                if top not in local:
+                    imported.setdefault(top, path.name)
+    extra = _test_extra_names()
+    assert imported, "no third-party import found"
+    assert {top: where for top, where in imported.items() if top not in extra} == {}
