@@ -20,7 +20,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import identities, multiplicity
-from .multiplicity import NonUnitDeterminantError, UnsupportedModulusError
+from .multiplicity import UnsupportedModulusError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -153,18 +153,13 @@ METHODS = {"comb": ("comb",), "theta": ("theta",), "both": ("comb", "theta")}
 
 
 def _series_row(routes: tuple[str, ...], args, i: int, order: int) -> dict:
-    """Coefficients of component i along each route, run last first so the
-    theta route refuses a modulus before the comb route builds its table.
-    A failed solve is kept as `<route>_error`; `equal` is set if all ran."""
-    found: dict[str, object] = {}
-    for route in reversed(routes):
-        try:
-            found[route] = ROUTES[route](args, i, order).coefficient_list()
-        except NonUnitDeterminantError as exc:
-            found[f"{route}_error"] = str(exc)
-    data: dict[str, object] = {"i": i, **dict(reversed(found.items()))}
-    if len(routes) > 1 and all(route in data for route in routes):
-        data["equal"] = all(data[route] == data[routes[0]] for route in routes)
+    """Coefficients of component i along each route, stored in `routes`
+    order but run last first, so the theta route refuses a modulus before
+    the comb route builds its table; `equal` is set when there are two."""
+    found = {route: ROUTES[route](args, i, order).coefficient_list() for route in reversed(routes)}
+    data: dict[str, object] = {"i": i, **{route: found[route] for route in routes}}
+    if len(routes) > 1:
+        data["equal"] = all(found[route] == found[routes[0]] for route in routes)
     return data
 
 
@@ -182,17 +177,13 @@ def _cmd_bseries(args) -> int:
         writer.writerow(["i", "m", *routes])
         for data in rows:
             for m in range(order):
-                cells = (data[r][m] if r in data else "error" for r in routes)
-                writer.writerow([data["i"], m, *cells])
+                writer.writerow([data["i"], m, *(data[r][m] for r in routes)])
     else:
         for data in rows:
             i = data["i"]
             for route in routes:
-                if route in data:
-                    print(f"i={i} {route:<5}: " + " ".join(str(c) for c in data[route]))
-                else:
-                    print(f"i={i} {route:<5}: unavailable ({data[f'{route}_error']})")
-            if "equal" in data:
+                print(f"i={i} {route:<5}: " + " ".join(str(c) for c in data[route]))
+            if len(routes) > 1:
                 print(f"i={i} pipelines {'agree' if data['equal'] else 'DISAGREE'} to order {order}")
     return EXIT_OK
 

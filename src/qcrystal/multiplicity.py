@@ -354,7 +354,8 @@ def _theta_solve(n: int, order: int) -> tuple[QSeries, ...]:
     times phi(q^2) for even n; `QSeries.invert` picks its own method for
     it.  A row entry below its row's power of q, or a rescaled determinant
     without constant term +-1, raises `NonUnitDeterminantError`; no n in
-    2..41, conjectured moduli included, does.
+    2..41 (the unit tests) or 42..80 (CI, at order 3: the order-1 terms
+    decide both checks), conjectured moduli included, does.
     """
     matrix = coefficient_matrix(n, order + (n // 2) ** 2 // n)
     rescaled = []

@@ -403,10 +403,12 @@ _phi_base = QSeries.one(1)
 def euler_phi(order: int, stride: int = 1) -> QSeries:
     """Product of (1 - q^(stride * j)) over j >= 1, truncated.
 
-    Each request is a truncation of one stride-1 base, substituted
-    q -> q^stride when stride > 1.  Both steps are exact: factors
-    (1 - q^j) with j >= N are 1 mod q^N, and q -> q^stride is a ring map.
-    The base grows only when a request needs more of it than any before.
+    Each request writes the first ceil(order / stride) coefficients of
+    one stride-1 base into every stride-th slot of an `order`-slot window,
+    so its work follows the order, not the stride.  Both steps are exact:
+    factors (1 - q^j) with j >= N are 1 mod q^N, and q -> q^stride is a
+    ring map.  The base grows only when a request needs more of it than
+    any before.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -416,8 +418,9 @@ def euler_phi(order: int, stride: int = 1) -> QSeries:
     need = -(-order // stride)
     if need > _phi_base.order:
         _phi_base = _euler_product(need)
-    phi = _phi_base.truncate(need)
-    return phi if stride == 1 else phi.expand(stride).truncate(order)
+    window = [0] * order
+    window[::stride] = _phi_base.coeffs[:need]
+    return QSeries._new(0, window, order)
 
 
 def _euler_product(order: int) -> QSeries:
@@ -497,7 +500,9 @@ def restricted_partition_gf(excluded, modulus: int, order: int) -> QSeries:
     banned = {r % modulus for r in excluded}
     window = [0] * order
     window[0] = 1
-    starts = [r or modulus for r in range(modulus) if r not in banned]
+    # One progression per allowed class whose first exponent, in
+    # 1..modulus, falls below the order.
+    starts = [e for e in range(1, min(modulus, order - 1) + 1) if e % modulus not in banned]
     _binomial_product_inplace(window, starts, modulus, -1, -1)
     return QSeries._new(0, window, order)
 

@@ -184,6 +184,43 @@ class TestSeriesChecks:
         assert exponent == e
         assert lhs - rhs == 1
 
+    @pytest.mark.parametrize("e", [0, 1, 37, 59])
+    @pytest.mark.parametrize(
+        "check, family, args, name, gap",
+        [
+            # theta_f(5, 3) is pair 0's left numerator, times phi(q^2)^-1.
+            (check_lemma_5_3, "theta_f", (5, 3, 60), "lemma5.3[0]", 1),
+            # theta_f(7, 17) is in pair 1's right numerator, times phi^-1.
+            (check_lemma_5_3, "theta_f", (7, 17, 60), "lemma5.3[1]", -1),
+            # theta_g(7, 8) is matrix entry (0, 0), whose cofactor has
+            # constant term 1; the coset expansion reads it too, but later.
+            (check_lemma_5_4, "theta_g", (7, 8, 60), "lemma5.4[det]", 1),
+            # theta_g(6, 9) is in no matrix entry; in the expansion it
+            # multiplies theta_g(7, 8) - q theta_g(2, 13), constant term 1.
+            (check_lemma_5_4, "theta_g", (6, 9, 60), "lemma5.4[cosets]", 1),
+            # The grid builds theta_g(1, 2) at order 60, the pentagonal case
+            # at TRIPLE_EULER_ORDER, so only the latter sees the change.
+            (check_triple_product, "theta_g", (1, 2, 300), "triple-product[pentagonal]", 1),
+        ],
+    )
+    def test_reports_a_perturbed_series_where_it_breaks(
+        self, monkeypatch, check, family, args, name, gap, e
+    ):
+        # Adding q^e to one series moves the compared side first at e, by
+        # the constant term of what that series is multiplied with.
+        real = getattr(qseries, family)
+
+        def perturbed(r, s, order):
+            series = real(r, s, order)
+            return series + QSeries.monomial(1, e, order) if (r, s, order) == args else series
+
+        monkeypatch.setattr(qseries, family, perturbed)
+        report = check(60)
+        assert report.name == name
+        exponent, lhs, rhs = report.first_discrepancy
+        assert exponent == e
+        assert lhs - rhs == gap
+
     def test_lemma_5_4_reports_a_nonvanishing_zero_term_where_it_starts(self, monkeypatch):
         # The n = 3 determinant never reads theta_g(0, 15), so only the
         # zero-term check sees the stand-in, and reports its own values.
@@ -198,6 +235,18 @@ class TestSeriesChecks:
         report = check_lemma_5_4(60)
         assert report.name == "lemma5.4[zero-term]"
         assert report.first_discrepancy == (7, -4, 0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: distinct_odd_sum_form(0), "^order must be at least 1$"),
+        (lambda: check_theorem_5_1(-1), "^max_k must be nonnegative$"),
+    ],
+)
+def test_argument_guards(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestCountingIdentities:

@@ -718,6 +718,28 @@ class TestMasterIdentity:
             master_discrepancy(3, 121, series=[gf_comb(i, 3, 40) for i in range(2)])
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: multiplicity_table(1, 3), "^need n >= 2 and max_k >= 0$"),
+        (lambda: multiplicity_table(2, -1), "^need n >= 2 and max_k >= 0$"),
+        (lambda: count_by_component(1, 5), "^modulus n must be at least 2$"),
+        (lambda: gf_comb(0, 2, 0), "^order must be at least 1$"),
+        (lambda: theta_branch(1), "^modulus n must be at least 2$"),
+        (lambda: multiplicity.theta_solution(2, 0), "^order must be at least 1$"),
+        (lambda: master_discrepancy(1, 5), "^need n >= 2 and order >= 1$"),
+        (lambda: master_discrepancy(2, 0), "^need n >= 2 and order >= 1$"),
+        (
+            lambda: master_discrepancy(3, 5, series=[gf_comb(0, 3, 5)]),
+            "^one generating function per component index is required$",
+        ),
+    ],
+)
+def test_argument_guards(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def _forbid(monkeypatch, module, *names):
     for name in names:
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -58,6 +59,20 @@ def rand_matrix(rng, size, order, max_lowest, min_lowest=0, magnitude=9, zero_sh
         ]
         for r in range(size)
     ]
+
+
+# A builder at order 5 holds a few small windows whatever its stride or
+# modulus; one window per stride slot would take megabytes at 10^6.
+SMALL_PEAK_BYTES = 64 * 1024
+
+
+def built_with_peak(build, *args):
+    """`build(*args)` and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        return build(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def leibniz_det(dicts, reach):
@@ -550,6 +565,11 @@ class TestEulerProducts:
     def test_order_one(self):
         assert euler_phi(1) == QSeries.one(1)
 
+    def test_stride_past_the_order_takes_order_sized_work(self):
+        phi, peak = built_with_peak(euler_phi, 5, 10**6)
+        assert phi == QSeries.one(5)
+        assert peak < SMALL_PEAK_BYTES
+
     def test_cache_is_bounded_and_shared(self, base_builds):
         # The one cache is the stride-1 base: every (order, stride) request
         # reads it, and bad arguments are rejected before it is touched.
@@ -831,6 +851,11 @@ class TestTripleProduct:
     def test_constant_terms(self):
         assert triple_product_g(1, 1, 50).coeff(0) == 1
 
+    def test_period_past_the_order_takes_order_sized_work(self):
+        product, peak = built_with_peak(triple_product_f, 10**6, 1, 5)
+        assert product == theta_f(10**6, 1, 5)
+        assert peak < SMALL_PEAK_BYTES
+
     def test_degenerate_factor(self):
         assert triple_product_g(0, 15, 80) == theta_g(0, 15, 80)
         assert triple_product_f(0, 4, 80) == theta_f(0, 4, 80)
@@ -1056,12 +1081,41 @@ class TestRestrictedPartitions:
         assert restricted_partition_gf(set(range(15)), 15, 30) == QSeries.one(30)
         assert restricted_partition_gf(set(), 15, 10).coeff(5) == 7
 
+    def test_modulus_past_the_order_passes_only_starts_below_it(self, monkeypatch):
+        passed = []
+        real = qseries._binomial_product_inplace
+
+        def recording(window, starts, *args):
+            passed.append(list(starts))
+            return real(window, starts, *args)
+
+        monkeypatch.setattr(qseries, "_binomial_product_inplace", recording)
+        assert restricted_partition_gf((), 10**4, 5).coefficient_list() == [1, 1, 2, 3, 5]
+        assert passed == [[1, 2, 3, 4]]
+
     def test_against_brute_force(self):
         for excluded in ({0, 7, 8}, {0, 2, 13}, {0, 4, 11}, {0, 1, 14}):
             series = restricted_partition_gf(excluded, 15, 26)
             for m in range(26):
                 want = count_partitions(m, allowed=lambda p: p % 15 not in excluded)
                 assert series.coeff(m) == want, (excluded, m)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: QSeries(1, (), 5), "^the zero series has lowest = 0$"),
+        (lambda: QSeries.one(3) ** -1, "^negative powers are not supported; invert first$"),
+        (lambda: QSeries.one(3).expand(0), "^expansion factor must be positive$"),
+        (lambda: restricted_partition_gf((), 15, 0), "^order must be at least 1$"),
+        (lambda: restricted_partition_gf((), 0, 5), "^modulus must be positive$"),
+        (lambda: triple_product_f(0, 0, 5), "^product form needs r \\+ s > 0$"),
+        (lambda: det([]), "^empty matrix$"),
+    ],
+)
+def test_argument_guards(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @st.composite

@@ -149,6 +149,12 @@ class TestChainMembership:
             assert is_maximal_shape(Partition.from_parts(parts), 2) == expected
 
 
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_rejects_modulus_below_two(self, n):
+        with pytest.raises(ValueError, match="^modulus n must be at least 2$"):
+            is_maximal_shape(EMPTY, n)
+
+
 class TestEnumeration:
     def test_table_rows(self):
         assert [str(p) for p in enumerate_maximal_shapes(3, 9)] == ["(7,1^2)", "(4,3,2)"]
