@@ -1,9 +1,9 @@
 """Command-line surface: decompose, bseries, verify.
 
-Each integer flag's range is checked by its `type=` converter as the
-flag is parsed.  QSERIES_ORDER supplies the truncation order when
---order is absent; it goes through the --order converter, and only when
-a run falls back to it.
+Every integer flag but --i is range-checked by its `type=` converter as
+it is parsed; --i's range depends on --n, so the library checks it.
+QSERIES_ORDER supplies the truncation order when --order is absent,
+through the --order converter and only when a run falls back to it.
 
 Exit codes: 0 success, 1 identity failure, 2 usage error, any other
 rejected input or a request too large to compute, 3 theta pipeline
@@ -166,9 +166,10 @@ def _series_row(routes: tuple[str, ...], args, i: int, order: int) -> dict:
 def _cmd_bseries(args) -> int:
     order = _resolve_order(args, ("order",), 20)
     routes = METHODS[args.method]
-    # Every row is computed before any output, so a refused input prints nothing.
-    components = [args.i] if args.i is not None else list(range(args.n // 2 + 1))
-    rows = [_series_row(routes, args, i, order) for i in components]
+    # Every row is computed before any output, so a refused input prints
+    # nothing; the highest component goes first, so one chain table serves all.
+    components = [args.i] if args.i is not None else range(args.n // 2, -1, -1)
+    rows = [_series_row(routes, args, i, order) for i in components][::-1]
     if args.format == "json":
         head = {"n": args.n, "order": order, "method": args.method, "conjecture": args.conjecture}
         _print_json_rows(head, "series", map(_encode, rows))

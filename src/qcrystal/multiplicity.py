@@ -201,11 +201,10 @@ _tables: dict[int, tuple[int, tuple[tuple[int, ...], ...]]] = {}
 def _table_for(n: int, boxes: int) -> tuple[tuple[int, ...], ...]:
     """Cached `_count_table` rows for modulus n covering `boxes`.
 
-    The cache maps n to (size, rows).  A too-small table is rebuilt at the
-    size asked, rounded up to a box count congruent to (n // 2)^2 mod n,
-    which completes the highest component's last entry, so a `gf_comb`
-    request at that size reuses the table.  The cache keeps the most
-    recently used moduli.
+    The cache maps n to (size, rows), for the most recently used moduli.
+    A too-small table is rebuilt at the size asked, rounded up to complete
+    the highest component's last entry: callers of every component ask for
+    it first, so theorem5.1's n = 3 table also serves the master check.
     """
     size, table = _tables.pop(n, (-1, ()))
     if size < boxes:
@@ -233,17 +232,17 @@ def count_maximal_shapes(n: int, boxes: int) -> int:
 
 
 def gf_comb(i: int, n: int, order: int) -> QSeries:
-    """Multiplicity generating function from enumeration:
-    coefficient of q^m is the count at i^2 + m*n boxes in component i."""
+    """Multiplicity generating function from enumeration: coefficient of
+    q^m is the count at i^2 + m*n boxes in component i, so the chain table
+    is asked for i^2 + (order - 1) n boxes.  Callers wanting every
+    component ask for the highest first, so one table serves them all."""
     if n < 2:
         raise ValueError("modulus n must be at least 2")
     if not 0 <= i <= n // 2:
         raise ValueError(f"component index {i} out of range for n={n}")
     if order < 1:
         raise ValueError("order must be at least 1")
-    # Size for the highest component so every component at this order
-    # shares one table.
-    row = _table_for(n, (n // 2) ** 2 + (order - 1) * n)[i]
+    row = _table_for(n, i * i + (order - 1) * n)[i]
     return QSeries.from_coeffs(list(row[i * i // n : i * i // n + order]), order)
 
 
@@ -398,7 +397,7 @@ def master_discrepancy(
         raise ValueError("need n >= 2 and order >= 1")
     if series is None:
         sub_order = -(-order // n)
-        series = [gf_comb(i, n, sub_order) for i in range(n // 2 + 1)]
+        series = [gf_comb(i, n, sub_order) for i in range(n // 2, -1, -1)][::-1]
     if len(series) != n // 2 + 1:
         raise ValueError("one generating function per component index is required")
     lhs = qs.euler_phi(order, stride=n)

@@ -166,6 +166,44 @@ def entry_via_separation(j, i, n, order):
     return contract(pre.shift(-residue), n)
 
 
+def block_exponent(n, i, t, k):
+    """Exponent of term k of `residue_block(i, t, n)`: (A k^2 + B k) / 2 with
+    A = a + b = n(n + 2) and B = b - a = 4i + 2(n + 2)t - n, from the block's
+    theta exponents (a, b)."""
+    return (n * (n + 2) * k * k + (4 * i + 2 * (n + 2) * t - n) * k) // 2
+
+
+def structure_lemma_rows(n):
+    """Per row j of the theta matrix for modulus n: the least exponent of
+    any term of any block of any entry (j, i), minus floor(j^2 / n), and the
+    sorted (i, t, k) that reach it.  Block t of entry (j, i) is
+    q^shift times `residue_block(i, t)`.  A term's exponent is convex in k
+    with its vertex at -B / 2A, so its least value over the integers lies
+    at one of the two on either side, and every other k is strictly
+    higher."""
+    rows = []
+    for j in range(n // 2 + 1):
+        least, where = None, []
+        for i in range(n // 2 + 1):
+            for t, _, shift in _entry_terms(j, i, n):
+                below = -(4 * i + 2 * (n + 2) * t - n) // (2 * n * (n + 2))
+                for k in (below, below + 1):
+                    e = shift + block_exponent(n, i, t, k)
+                    if least is None or e < least:
+                        least, where = e, []
+                    if e == least:
+                        where.append((i, t, k))
+        rows.append((least - j * j // n, sorted(where)))
+    return rows
+
+
+def structure_lemma_statement(n):
+    """What the structure lemma says `structure_lemma_rows(n)` is: row j's
+    least exponent is floor(j^2 / n), reached only at (i, t, k) = (j, 0, 0)
+    and (j - 1, 1, 0).  So the rescaled constant-term matrix is I - N."""
+    return [(0, [(j - 1, 1, 0), (j, 0, 0)] if j else [(0, 0, 0)]) for j in range(n // 2 + 1)]
+
+
 def color_of(row, col, n):
     """Color of the cell in the given (1-based) row and column: the rule that
     `young.color_counts` and `crystal._corners` apply a block at a time."""

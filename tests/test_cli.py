@@ -232,7 +232,22 @@ class TestBseries:
         argv = ["bseries", "--n", "5", "--order", "6", "--method", "both", "--format", "json"]
         assert cli.main(argv) == 0
         assert all(row["equal"] for row in json.loads(capsys.readouterr().out)["series"])
-        assert calls == {"gf_comb": [0, 1, 2], "gf_theta": [0, 1, 2]}
+        # Highest component first, so one chain table serves every row.
+        assert calls == {"gf_comb": [2, 1, 0], "gf_theta": [2, 1, 0]}
+
+    def test_one_component_builds_only_its_own_rows(self, chain_builds, capsys):
+        # Component 0 reads up to 4 * 800 boxes; the highest would need 163 200.
+        argv = ["bseries", "--n", "800", "--i", "0", "--method", "comb", "--order", "5", "--format", "json"]
+        assert cli.main(argv) == 0
+        (row,) = json.loads(capsys.readouterr().out)["series"]
+        assert row["i"] == 0 and len(row["comb"]) == 5
+        assert len(chain_builds) == 1 and chain_builds[0][1] <= 3200
+
+    @pytest.mark.parametrize("method", ["comb", "both"])
+    def test_every_component_shares_one_chain_table(self, method, chain_builds, capsys):
+        assert cli.main(["bseries", "--n", "7", "--order", "50", "--method", method, "--format", "json"]) == 0
+        assert [row["i"] for row in json.loads(capsys.readouterr().out)["series"]] == [0, 1, 2, 3]
+        assert len(chain_builds) == 1
 
     def test_recursion_too_deep_exits_2(self, monkeypatch, capsys):
         def too_deep(args, i, order):

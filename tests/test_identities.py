@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcrystal import identities, multiplicity, qseries
+from qcrystal import identities, qseries
 from qcrystal.identities import (
     IdentityReport,
     check_lemma_5_1,
@@ -295,18 +295,14 @@ class TestCountingIdentities:
         partition_identity_counts(7)
         assert orders == [8] * 4
 
-    def test_theorem_check_builds_chain_table_once(self, monkeypatch):
-        builds = []
-        real = multiplicity._count_table
-
-        def counting(n, boxes):
-            builds.append((n, boxes))
-            return real(n, boxes)
-
-        monkeypatch.setattr(multiplicity, "_count_table", counting)
-        multiplicity._tables.clear()
+    def test_theorem_check_builds_chain_table_once(self, chain_builds):
         assert check_theorem_5_1(200).holds
-        assert builds == [(3, 601)]
+        assert chain_builds == [(3, 601)]
+
+    def test_master_check_builds_chain_table_once(self, chain_builds):
+        # Highest component first: its 3^2 + 28 * 7 boxes serve the rest.
+        assert check_master(7, 200).holds
+        assert chain_builds == [(7, 205)]
 
     def test_theorem_check_reports_a_equals_c_before_b_equals_d(self, monkeypatch):
         true_count = identities.count_maximal_shapes

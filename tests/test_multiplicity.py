@@ -34,6 +34,7 @@ from qcrystal.weightlat import classify_maximal
 from qcrystal.young import EMPTY, Partition, color_counts, enumerate_maximal_shapes
 
 from helpers import (
+    block_exponent,
     chain_shape_rows,
     count_distinct_odd,
     count_table_by_pair_states,
@@ -42,6 +43,9 @@ from helpers import (
     fermionic_rows_n3_component_0,
     multiplicity_table_by_filter,
     partition_number,
+    series_to_dict,
+    structure_lemma_rows,
+    structure_lemma_statement,
 )
 
 
@@ -259,16 +263,12 @@ class TestCounting:
             count_by_component(n, 10)
         assert len(multiplicity._tables) <= multiplicity._TABLE_CACHE_SIZE
 
-    def test_table_grows_to_the_size_asked(self, monkeypatch):
+    def test_table_grows_to_the_size_asked(self, chain_builds):
         # A larger request rebuilds at its own size, rounded up to complete
         # the highest component's last row, not at twice the old size.
-        builds = []
-        real = multiplicity._count_table
-        monkeypatch.setattr(multiplicity, "_count_table", lambda n, boxes: builds.append((n, boxes)) or real(n, boxes))
-        monkeypatch.setattr(multiplicity, "_tables", {})
         count_by_component(3, 30)
         count_by_component(3, 40)
-        assert builds == [(3, 31), (3, 40)]
+        assert chain_builds == [(3, 31), (3, 40)]
 
     def test_slot_overflow_is_detected(self):
         assert multiplicity._unpack(0b011_001, 3, 2) == (1, 3)
@@ -298,6 +298,27 @@ class TestCombSeries:
     def test_table_columns(self):
         assert gf_comb(0, 3, 7).coefficient_list() == [1, 0, 1, 2, 3, 4, 7]
         assert gf_comb(1, 3, 7).coefficient_list() == [1, 2, 2, 4, 5, 8, 11]
+
+    def test_one_component_builds_only_its_own_rows(self, chain_builds):
+        # Component 0 reads up to 4 * 300 boxes; the highest would need 23 700.
+        gf_comb(0, 300, 5)
+        assert chain_builds == [(300, 1200)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(2, 40).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(0, n // 2), st.integers(1, 30))
+        )
+    )
+    def test_component_alone_equals_its_read_from_the_whole_table(self, case):
+        n, i, order = case
+        with mock.patch.object(multiplicity, "_tables", {}):
+            alone = gf_comb(i, n, order)
+            # The table asked for ends at the last entry this series reads.
+            assert len(multiplicity._tables[n][1][i]) == i * i // n + order
+        with mock.patch.object(multiplicity, "_tables", {}):
+            gf_comb(n // 2, n, order)  # the table every component reads
+            assert gf_comb(i, n, order) == alone
 
     def test_distinct_odd_interpretation(self):
         got = gf_comb(0, 2, 12).coefficient_list()
@@ -489,6 +510,33 @@ class TestMatrix:
             for j in range(len(m)):
                 for i in range(len(m)):
                     assert entry_via_separation(j, i, n, 30) == m[j][i], (n, j, i)
+
+    def test_block_exponents_follow_residue_block(self):
+        # Ties the structure lemma's exponent formula to the blocks summed.
+        order = 60
+        for n in range(2, 13):
+            for i in range(n // 2 + 1):
+                for t in range(n):
+                    terms = {}
+                    for k in range(-order, order):
+                        if (e := block_exponent(n, i, t, k)) < order:
+                            terms[e] = terms.get(e, 0) + (-1) ** (k * n % 2)
+                    expected = {e: c for e, c in terms.items() if c}
+                    assert series_to_dict(residue_block(i, t, n, order)) == expected, (n, i, t)
+
+    def test_structure_lemma_term_by_term(self):
+        # Every block term of row j has exponent at least floor(j^2 / n),
+        # with equality only at (i, t, k) = (j, 0, 0) and (j - 1, 1, 0).
+        # CI runs n = 101..200.
+        for n in range(2, 101):
+            assert structure_lemma_rows(n) == structure_lemma_statement(n), n
+
+    def test_rescaled_constant_term_matrix_is_identity_minus_shift(self):
+        for n in range(2, 31):
+            size = n // 2 + 1
+            m = coefficient_matrix(n, (n // 2) ** 2 // n + 1)
+            constant = [[entry.coeff(j * j // n) for entry in row] for j, row in enumerate(m)]
+            assert constant == [[(i == j) - (i == j - 1) for i in range(size)] for j in range(size)], n
 
     def test_presubstitution_support_lives_in_residue_class(self):
         # Rebuilt entries raise if any retained exponent escapes the class
