@@ -24,7 +24,6 @@ from .young import Partition, enumerate_maximal_shapes, maximal_shape_zero_count
 __all__ = [
     "TableEntry",
     "UnsupportedModulusError",
-    "NonUnitDeterminantError",
     "theta_branch",
     "multiplicity_table",
     "count_by_component",
@@ -41,10 +40,6 @@ __all__ = [
 
 class UnsupportedModulusError(ValueError):
     """Theta pipeline requested for a modulus outside the proven branches."""
-
-
-class NonUnitDeterminantError(ValueError):
-    """The assembled matrix cannot be inverted exactly over the integers."""
 
 
 # -- combinatorial route ---------------------------------------------------
@@ -300,7 +295,8 @@ def coefficient_matrix(n: int, order: int) -> tuple[tuple[QSeries, ...], ...]:
     of rows, for any n >= 2; the solve asks whether it is proven for n.
 
     Row j collects the blocks whose exponents lie in the class of j^2;
-    every assembled entry must come out with nonnegative valuation.
+    by the structure lemma (see `_theta_solve`) each is divisible by
+    q^floor(j^2 / n).
     """
     if n < 2:
         raise ValueError("modulus n must be at least 2")
@@ -313,8 +309,6 @@ def coefficient_matrix(n: int, order: int) -> tuple[tuple[QSeries, ...], ...]:
             for t, sign, shift in _entry_terms(j, i, n):
                 block = residue_block(i, t, n, order - shift).shift(shift)
                 entry = entry + (block if sign > 0 else -block)
-            if not entry.is_zero and entry.lowest < 0:
-                raise ValueError(f"entry ({j}, {i}) for n={n} has negative valuation")
             row.append(entry)
         rows.append(tuple(row))
     return tuple(rows)
@@ -339,9 +333,13 @@ def theta_solution(n: int, order: int, conjecture: bool = False) -> tuple[QSerie
 def _theta_solve(n: int, order: int) -> tuple[QSeries, ...]:
     """Solve the theta-matrix system for every component at once.
 
-    Row j of the matrix has valuation floor(j^2 / n), and dividing each
-    row by that power leaves a matrix whose determinant is a unit.  So the
-    matrix is built once at the order of its deepest row, every row is
+    Structure lemma, for every n >= 2 (proof in the README): every term of
+    every block of entry (j, i) has exponent at least floor(j^2 / n), with
+    equality only at (i, t, k) = (j, 0, 0), sign +1, and (j - 1, 1, 0),
+    sign -1.  So row j is divisible by q^floor(j^2 / n), and dividing each
+    row by that power leaves a matrix whose constant terms are I - N, N
+    the ones just below the diagonal: its determinant is 1 mod q, a unit.
+    The matrix is built once at the order of its deepest row, every row is
     shifted down to the requested order, and Cramer's rule runs on the
     rescaled system with exact division: B_i is the Euler product times
     the i-th cofactor along row 0, times the inverse determinant.  Row 0
@@ -349,26 +347,12 @@ def _theta_solve(n: int, order: int) -> tuple[QSeries, ...]:
     One determinant, one inverse and one row of cofactors serve every
     component, from one Laplace expansion: `qs.det` is the row-0 sum over
     the cofactors, which `qs.cofactors` then returns from its cache.  The
-    rescaled determinant is observed, not proven, to be phi(q)^ceil(n/2),
-    times phi(q^2) for even n; `QSeries.invert` picks its own method for
-    it.  A row entry below its row's power of q, or a rescaled determinant
-    without constant term +-1, raises `NonUnitDeterminantError`; no n in
-    2..41 (the unit tests) or 42..80 (CI, at order 3: the order-1 terms
-    decide both checks), conjectured moduli included, does.
+    rescaled determinant is observed to be phi(q)^ceil(n/2), times
+    phi(q^2) for even n; `QSeries.invert` picks its own method for it.
     """
     matrix = coefficient_matrix(n, order + (n // 2) ** 2 // n)
-    rescaled = []
-    for j, row in enumerate(matrix):
-        power = j * j // n
-        if any(not entry.is_zero and entry.lowest < power for entry in row):
-            raise NonUnitDeterminantError(f"row {j} for n={n} is not divisible by q^{power}")
-        rescaled.append([entry.shift(-power).truncate(order) for entry in row])
-    determinant = qs.det(rescaled)
-    if determinant.is_zero or determinant.lowest != 0 or determinant.coeffs[0] not in (1, -1):
-        raise NonUnitDeterminantError(
-            f"rescaled determinant for n={n} is not a unit; cannot divide exactly"
-        )
-    scale = qs.euler_phi(order) * determinant.invert()
+    rescaled = [[e.shift(-(j * j // n)).truncate(order) for e in row] for j, row in enumerate(matrix)]
+    scale = qs.euler_phi(order) * qs.det(rescaled).invert()
     return tuple(scale * cofactor for cofactor in qs.cofactors(rescaled))
 
 

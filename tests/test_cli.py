@@ -196,21 +196,25 @@ class TestBseries:
     def test_failed_solve_exits_2_with_one_line(self, method, fmt, monkeypatch, capsys):
         # A failed solve is a library ValueError like any other: no row is
         # printed, and the theta route fails before the comb route runs.
-        message = "rescaled determinant for n=5 is not a unit; cannot divide exactly"
+        # Doubling row 0 of the n = 5 matrix doubles the determinant's
+        # constant term, so the solve cannot invert it.
+        real = multiplicity.coefficient_matrix
 
-        def failing(i, n, order, conjecture=False):
-            raise multiplicity.NonUnitDeterminantError(message)
+        def doubled_row_0(n, order):
+            rows = real(n, order)
+            return (tuple(e + e for e in rows[0]),) + rows[1:]
 
         def comb_must_not_run(i, n, order):
             raise AssertionError("comb route ran after the theta route failed")
 
-        monkeypatch.setattr(multiplicity, "gf_theta", failing)
+        monkeypatch.setattr(multiplicity, "coefficient_matrix", doubled_row_0)
         monkeypatch.setattr(multiplicity, "gf_comb", comb_must_not_run)
+        multiplicity._theta_solve.cache_clear()
         argv = ["bseries", "--n", "5", "--order", "4", "--method", method, "--format", fmt]
         assert cli.main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.splitlines() == ["error: " + message]
+        assert err.splitlines() == ["error: inversion needs lowest = 0 and constant term +-1"]
 
     def test_method_choices_are_the_table(self):
         (subparsers,) = [

@@ -35,7 +35,7 @@ def test_package_reexports_exactly_the_module_exports():
 # integer scaling `scaled` and `__rmul__`, and `MultiplicityTable`).
 EXPORTS = {
     "ComponentLabel", "EMPTY", "IdentityReport", "NonUnitConstantError",
-    "NonUnitDeterminantError", "OrderMismatchError", "Partition", "QSeries", "TableEntry",
+    "OrderMismatchError", "Partition", "QSeries", "TableEntry",
     "UnsupportedModulusError", "WeightVector", "check_lemma_5_1", "check_lemma_5_2",
     "check_lemma_5_3", "check_lemma_5_4", "check_master", "check_theorem_5_1",
     "check_triple_product", "classify_maximal", "closed_form_component_index",
